@@ -1,27 +1,12 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: the quadratic basis matrix and the logistic loss,
+gradient and Hessian sums, all vectorized numpy.
 
-The backend is chosen once at import time: setting the environment variable
-``STORM_PURE_NUMPY=1`` (or numba being unavailable) selects the numpy path.
-``BACKEND`` records which one is active.
+``BACKEND`` names the kernel path; there is only the numpy one.
 """
-
-import os
 
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("STORM_PURE_NUMPY", "0") not in ("1", "true", "yes")
-
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        _HAS_NUMBA = True
-    except Exception:
-        _HAS_NUMBA = False
-else:
-    _HAS_NUMBA = False
-
-BACKEND = "numba" if _HAS_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
 def quad_basis_size(n: int) -> int:
@@ -31,123 +16,29 @@ def quad_basis_size(n: int) -> int:
 # Column layout of the quadratic basis, for steps s scaled to the unit ball:
 #   [1, s_1..s_n, s_1^2..s_n^2, s_i*s_j for i<j (row-major pair order)]
 # The unpacking in models.py depends on this exact order.
+def quad_basis(S) -> np.ndarray:
+    S = np.asarray(S, dtype=np.float64)
+    i, j = np.triu_indices(S.shape[1], k=1)
+    return np.concatenate([np.ones((S.shape[0], 1)), S, S**2, S[:, i] * S[:, j]], axis=1)
 
 
-def _quad_basis_numpy(S: np.ndarray) -> np.ndarray:
-    p, n = S.shape
-    cols = [np.ones((p, 1)), S, S**2]
-    cross = [S[:, i] * S[:, j] for i in range(n) for j in range(i + 1, n)]
-    if cross:
-        cols.append(np.stack(cross, axis=1))
-    return np.concatenate(cols, axis=1)
+def _sigmoid_of_margin(t):
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _logistic_sums_numpy(X, y, w, beta):
-    m = X @ w + beta
-    t = y * m
+def logistic_sums(X, y, w, beta):
+    """Summed loss log(1+exp(-y(Xw+beta))) and its gradient in (w, beta)."""
+    t = y * (X @ w + float(beta))
     # log(1+exp(-t)) evaluated stably for |t| large
     loss = np.where(t > 0, np.log1p(np.exp(-np.abs(t))), -t + np.log1p(np.exp(-np.abs(t))))
-    s = np.where(t >= 0, 1.0 / (1.0 + np.exp(-np.abs(t))), np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
-    coef = -y * (1.0 - s)  # d loss_i / d margin
-    grad_w = X.T @ coef
-    grad_b = coef.sum()
-    return loss.sum(), np.concatenate([grad_w, [grad_b]])
+    coef = -y * (1.0 - _sigmoid_of_margin(t))  # d loss_i / d margin
+    return loss.sum(), np.concatenate([X.T @ coef, [coef.sum()]])
 
 
-def _logistic_hess_numpy(X, y, w, beta):
-    m = X @ w + beta
-    t = y * m
-    s = np.where(t >= 0, 1.0 / (1.0 + np.exp(-np.abs(t))), np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
+def logistic_hess(X, y, w, beta):
+    """Hessian of the summed loss in (w, beta): the d-weighted Gram matrix."""
+    s = _sigmoid_of_margin(y * (X @ w + float(beta)))
     d = s * (1.0 - s)  # d^2 loss_i / d margin^2
     Xb = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
     return (Xb * d[:, None]).T @ Xb
-
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _quad_basis_jit(S):
-        p, n = S.shape
-        q = 1 + 2 * n + n * (n - 1) // 2
-        out = np.empty((p, q))
-        for r in range(p):
-            out[r, 0] = 1.0
-            for i in range(n):
-                out[r, 1 + i] = S[r, i]
-                out[r, 1 + n + i] = S[r, i] * S[r, i]
-            c = 1 + 2 * n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    out[r, c] = S[r, i] * S[r, j]
-                    c += 1
-        return out
-
-    @njit(cache=True)
-    def _logistic_sums_jit(X, y, w, beta):
-        N, m = X.shape
-        loss = 0.0
-        grad = np.zeros(m + 1)
-        for r in range(N):
-            t = beta
-            for j in range(m):
-                t += X[r, j] * w[j]
-            t *= y[r]
-            if t > 0.0:
-                e = np.exp(-t)
-                loss += np.log1p(e)
-                s = 1.0 / (1.0 + e)
-            else:
-                e = np.exp(t)
-                loss += -t + np.log1p(e)
-                s = e / (1.0 + e)
-            coef = -y[r] * (1.0 - s)
-            for j in range(m):
-                grad[j] += coef * X[r, j]
-            grad[m] += coef
-        return loss, grad
-
-    @njit(cache=True)
-    def _logistic_hess_jit(X, y, w, beta):
-        N, m = X.shape
-        hess = np.zeros((m + 1, m + 1))
-        for r in range(N):
-            t = beta
-            for j in range(m):
-                t += X[r, j] * w[j]
-            t *= y[r]
-            if t >= 0.0:
-                e = np.exp(-t)
-                s = 1.0 / (1.0 + e)
-            else:
-                e = np.exp(t)
-                s = e / (1.0 + e)
-            d = s * (1.0 - s)
-            for a in range(m + 1):
-                xa = X[r, a] if a < m else 1.0
-                for b in range(a, m + 1):
-                    xb = X[r, b] if b < m else 1.0
-                    hess[a, b] += d * xa * xb
-        for a in range(m + 1):
-            for b in range(a):
-                hess[a, b] = hess[b, a]
-        return hess
-
-    def quad_basis(S):
-        return _quad_basis_jit(np.ascontiguousarray(S, dtype=np.float64))
-
-    def logistic_sums(X, y, w, beta):
-        return _logistic_sums_jit(X, y, w, float(beta))
-
-else:
-
-    def quad_basis(S):
-        return _quad_basis_numpy(np.asarray(S, dtype=np.float64))
-
-    def logistic_sums(X, y, w, beta):
-        return _logistic_sums_numpy(X, y, w, float(beta))
-
-
-# The d-weighted Gram matrix is BLAS-bound; the vectorized numpy form beats a
-# naive jit loop at every size we benchmark, so it is not backend-dispatched.
-def logistic_hess(X, y, w, beta):
-    return _logistic_hess_numpy(X, y, w, float(beta))

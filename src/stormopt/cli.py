@@ -25,15 +25,7 @@ from .problems import builtin_suite, get_problem
 from .profiles import ProfileTable, build_profiles, profile_fraction, solve_threshold
 from .theory import (check_probabilities, compute_theory_constants,
                      failure_alpha_beta, min_success_probability)
-from .variants import (run_adagrad, run_storm_failure, run_storm_logistic,
-                       run_storm_unbiased, run_tr_saa)
-
-SOLVER_RUNNERS = {
-    "tr-saa": lambda prob, cfg: run_tr_saa(prob, cfg, resample=False),
-    "tr-saa-resample": lambda prob, cfg: run_tr_saa(prob, cfg, resample=True),
-    "storm-unbiased": run_storm_unbiased,
-    "storm-failure": run_storm_failure,
-}
+from .variants import REGISTRY, run_adagrad, run_storm_failure, run_storm_logistic
 
 
 def _default_seed() -> int:
@@ -127,8 +119,7 @@ def cmd_run(args) -> int:
     if args.budget_mult:
         budget = args.budget_mult * (spec.n + 1)
     cfg = _tr_config(args, budget)
-    runner = SOLVER_RUNNERS[args.variant]
-    record = runner(problem, cfg)
+    record = REGISTRY[args.variant](problem, cfg)
 
     f_x0 = problem.true_f(problem.x0)
     if args.ftol is not None:
@@ -204,9 +195,13 @@ def cmd_sweep(args) -> int:
 
 
 def _fstar_from_reference_run(spec, budget: int, seed: int) -> float:
-    """Best noiseless value any solver finds on a zero-noise reference run."""
+    """Best noiseless value any solver finds on a zero-noise reference run.
+
+    The runs keep the default budget-only stop: the best value over the whole
+    run is wanted, not the first one below some target.
+    """
     best = spec.instantiate().true_f(spec.x0)
-    for runner in SOLVER_RUNNERS.values():
+    for runner in REGISTRY.values():
         problem = spec.instantiate()
         record = runner(problem, TrustRegionConfig(budget=budget, seed=seed))
         vals = [ev.true_f_after for ev in record.events if ev.true_f_after is not None]
@@ -237,7 +232,7 @@ def run_profile_cells(solvers: List[str], specs, noise_kind: str, sigma: float,
                 problem = spec.instantiate(noise)
                 cfg = TrustRegionConfig(budget=budget, seed=seed0 + seed)
                 stop = StoppingRule(budget=budget, target_f=threshold)
-                record = SOLVER_RUNNERS[solver](problem, cfg)
+                record = REGISTRY[solver](problem, cfg, stop)
                 table.add(solver, spec.name, seed0 + seed,
                           record.evals_to_reach(threshold, budget), tau, budget)
     return table
@@ -246,7 +241,7 @@ def run_profile_cells(solvers: List[str], specs, noise_kind: str, sigma: float,
 def cmd_profile(args) -> int:
     solvers = [s.strip() for s in args.solvers.split(",")]
     for s in solvers:
-        if s not in SOLVER_RUNNERS:
+        if s not in REGISTRY:
             raise KeyError(f"unknown solver {s!r}")
     if args.problems == "all":
         specs = builtin_suite()
@@ -357,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="single solver run on a built-in problem")
-    p_run.add_argument("--variant", choices=sorted(SOLVER_RUNNERS), required=True)
+    p_run.add_argument("--variant", choices=sorted(REGISTRY), required=True)
     p_run.add_argument("--problem", required=True)
     _add_noise_flags(p_run, "none")
     p_run.add_argument("--tau", type=float, default=1e-3)
@@ -441,18 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # Pre-scan for --config so file values become subcommand defaults that
-    # explicit flags still override.
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
-        config = _load_config_file(cfg_path)
-        if argv and not argv[0].startswith("-"):
-            sub_actions = [a for a in parser._actions
-                           if isinstance(a, argparse._SubParsersAction)]
-            subparser = sub_actions[0].choices.get(argv[0])
-            if subparser is not None:
-                _apply_config_defaults(subparser, config)
     try:
+        # Pre-scan for --config so file values become subcommand defaults that
+        # explicit flags still override. A trailing --config with no path is
+        # left for argparse to reject.
+        if "--config" in argv[:-1]:
+            config = _load_config_file(argv[argv.index("--config") + 1])
+            if not argv[0].startswith("-"):
+                sub_actions = [a for a in parser._actions
+                               if isinstance(a, argparse._SubParsersAction)]
+                subparser = sub_actions[0].choices.get(argv[0])
+                if subparser is not None:
+                    _apply_config_defaults(subparser, config)
         args = parser.parse_args(argv)
         return args.handler(args)
     except (KeyError, ValueError, OSError) as exc:

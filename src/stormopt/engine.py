@@ -175,6 +175,8 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
     ref = problem.noiseless_ref
     record = RunRecord(problem=problem.name, variant=variant, seed=cfg.seed)
     stop_reason = None
+    # noiseless f at state.x, carried over so each point is evaluated once
+    true_after = ref[0](state.x) if ref is not None else None
 
     while True:
         if stop.budget is not None and problem.eval_count >= stop.budget:
@@ -188,7 +190,7 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
         evals_before = problem.eval_count
         x_before = state.x.copy()
         delta_before = state.delta
-        true_before = ref[0](x_before) if ref is not None else None
+        true_before = true_after
 
         flag = None
         rho = None
@@ -254,7 +256,7 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
             break
 
     record.x_final = state.x.copy()
-    record.f_final_true = ref[0](state.x) if ref is not None else None
+    record.f_final_true = true_after
     record.eval_total = problem.eval_count
     record.stop_reason = stop_reason
     return record

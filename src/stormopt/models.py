@@ -234,15 +234,17 @@ def fit_interpolation(pset: PoisedSet, values: Sequence[float],
 
 def fit_regression(pset: PoisedSet, values: Sequence[float], degree: int,
                    hessian_cap: Optional[float] = None) -> QuadraticModel:
-    """Least-squares fit of a degree-1 or degree-2 model over the set."""
+    """Least-squares fit of a degree-1 or degree-2 model over the set.
+
+    Raises GeometryError when the basis matrix is rank-deficient, which
+    includes every set with fewer points than basis functions.
+    """
     values = np.asarray(values, dtype=float)
     if values.size != pset.npoints:
         raise ValueError("values/points length mismatch")
     n = pset.center.size
     scale = max(pset.delta, 1e-300)
     M = _basis_matrix((pset.points - pset.center) / scale, degree)
-    if values.size < M.shape[1]:
-        raise ValueError("need at least as many points as basis functions")
     coef, _, rank, _ = np.linalg.lstsq(M, values, rcond=None)
     if rank < M.shape[1]:
         raise GeometryError("rank-deficient regression basis")

@@ -24,7 +24,6 @@ class EstimatePair:
     f0: float
     fs: float
     samples_used: int
-    epsilon_target: Optional[float] = None
 
     def __post_init__(self):
         if self.samples_used < 1:
@@ -105,8 +104,7 @@ class StochasticProblem:
     def __init__(self, name: str, dimension: int, residual: Callable,
                  x0, noise: NoiseSpec = NoiseSpec(),
                  jacobian: Optional[Callable] = None,
-                 f_star: Optional[float] = None,
-                 budget_multiplier: int = 1000):
+                 f_star: Optional[float] = None):
         self.name = name
         self.dimension = int(dimension)
         self.residual = residual
@@ -114,7 +112,6 @@ class StochasticProblem:
         self.x0 = np.asarray(x0, dtype=float)
         self.noise = noise
         self.f_star = f_star
-        self.budget_multiplier = budget_multiplier
         self.eval_count = 0
 
     # noiseless reference ------------------------------------------------
@@ -147,12 +144,8 @@ class StochasticProblem:
         return eval_failure(self.residual, self.noise.sigma, self.noise.epsilon,
                             self.noise.garbage_value, x, rng, self.noise.failure_mode)
 
-    def default_budget(self) -> int:
-        return self.budget_multiplier * (self.dimension + 1)
 
-
-def averaged_estimate(problem, x, p: int, rng,
-                      epsilon_target: Optional[float] = None) -> float:
+def averaged_estimate(problem, x, p: int, rng) -> float:
     """Mean of p fresh noisy evaluations (counts p against the budget)."""
     if p < 1:
         raise ValueError("p must be >= 1")

@@ -26,8 +26,7 @@ class ProblemSpec:
     def instantiate(self, noise: NoiseSpec = NoiseSpec()) -> StochasticProblem:
         return StochasticProblem(self.name, self.n, self.residual, self.x0,
                                  noise=noise, jacobian=self.jacobian,
-                                 f_star=self.f_star,
-                                 budget_multiplier=self.budget_multiplier)
+                                 f_star=self.f_star)
 
 
 def simple_quadratic_residual(x):

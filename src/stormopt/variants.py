@@ -3,6 +3,9 @@ sample averaging (with optional full resampling), fresh-regression runs for
 unbiased noise, fresh-interpolation runs for computation-failure noise, a
 subsampled-Newton variant for logistic loss, and an Adagrad baseline.
 
+``REGISTRY`` maps the name of every sum-of-squares variant to a runner
+``(problem, cfg, stop=None) -> RunRecord``; the CLI runs variants through it.
+
 Sample-rate rules:
     tr-saa / storm-unbiased : p_k = max(p_min + k, ceil(1/delta_k))
     storm-logistic          : p_k = min(p_max, max(100 k + p0, ceil(1/delta_k^2)))
@@ -17,16 +20,12 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .engine import RunRecord, StoppingRule, TrustRegionConfig, run
+from .engine import RunRecord, StoppingRule, TrustRegionConfig, _tag, run
 from .logistic import Dataset, LogisticProblem
-from .models import (GeometryError, QuadraticModel, fit_quadratic_set,
-                     sample_in_ball, _basis_matrix, _unpack_coefficients,
-                     _random_orthonormal)
+from .models import (KIND_REGRESSION, PoisedSet, QuadraticModel, fit_quadratic_set,
+                     fit_regression, sample_in_ball, _random_orthonormal)
 from .oracles import EstimatePair, averaged_estimate
 from .subproblem import dogleg
-
-VARIANTS = ("tr-saa", "tr-saa-resample", "storm-unbiased", "storm-failure",
-            "storm-logistic")
 
 _DEDUPE_REL_TOL = 1e-12
 
@@ -37,8 +36,6 @@ class VariantConfig:
     p_min: int = 10
     p_max: Optional[int] = None
     p0: Optional[int] = None
-    sample_rate_rule: str = ""
-    interpolation_set_policy: str = "persist-and-augment"
 
     def __post_init__(self):
         # p_min/p_max only bound the same quantity (the sample size) in the
@@ -54,31 +51,18 @@ class VariantConfig:
                     p0: Optional[int] = None, n_train: Optional[int] = None):
         quad_count = _kernels.quad_basis_size(n)
         if variant in ("tr-saa", "tr-saa-resample"):
-            return VariantConfig(variant, p_min=p_min, p_max=quad_count,
-                                 sample_rate_rule="max(p_min+k, ceil(1/delta))",
-                                 interpolation_set_policy="persist-and-augment")
+            return VariantConfig(variant, p_min=p_min, p_max=quad_count)
         if variant == "storm-unbiased":
-            return VariantConfig(variant, p_min=p_min,
-                                 sample_rate_rule="max(p_min+k, ceil(1/delta))",
-                                 interpolation_set_policy="fresh-per-iteration")
+            return VariantConfig(variant, p_min=p_min)
         if variant == "storm-failure":
             return VariantConfig(variant, p_min=n + 1, p_max=quad_count,
-                                 p0=quad_count if p0 is None else p0,
-                                 sample_rate_rule="single fresh draw per point",
-                                 interpolation_set_policy="persist-and-augment")
+                                 p0=quad_count if p0 is None else p0)
         if variant == "storm-logistic":
             if n_train is None:
                 raise ValueError("storm-logistic needs the training-set size")
             return VariantConfig(variant, p_min=1, p_max=n_train,
-                                 p0=(n - 1) + 2 if p0 is None else p0,
-                                 sample_rate_rule="min(p_max, max(100k+p0, ceil(1/delta^2)))",
-                                 interpolation_set_policy="fresh-per-iteration")
+                                 p0=(n - 1) + 2 if p0 is None else p0)
         raise ValueError(f"unknown variant {variant!r}")
-
-
-def _tag(trace, label):
-    if trace is not None:
-        trace.append(label)
 
 
 def _rate_linear(p_min: int, k: int, delta: float,
@@ -243,14 +227,9 @@ class StormUnbiasedComponents:
         _tag(self.trace, "values")
         values = np.array([problem.noisy_eval(p, rng) for p in pts])
         _tag(self.trace, "model")
-        n = problem.dimension
-        degree = 2 if self._p_k >= _kernels.quad_basis_size(n) else 1
-        M = _basis_matrix((pts - state.x) / state.delta, degree)
-        coef, _, rank, _ = np.linalg.lstsq(M, values, rcond=None)
-        if rank < M.shape[1]:
-            raise GeometryError("degenerate regression draw")
-        f0, g, H = _unpack_coefficients(coef, n, degree, state.delta)
-        return QuadraticModel(state.x, f0, g, 0.5 * (H + H.T))
+        degree = 2 if self._p_k >= _kernels.quad_basis_size(problem.dimension) else 1
+        return fit_regression(PoisedSet(pts, state.x, state.delta, KIND_REGRESSION),
+                              values, degree)
 
     def estimate(self, problem, state, model, step, rng):
         f0 = averaged_estimate(problem, state.x, self._p_k, rng)
@@ -319,7 +298,7 @@ class StormLogisticComponents:
         return EstimatePair(f0=f0, fs=fs, samples_used=2 * self._p_k)
 
 
-def _default_stop(problem, cfg: TrustRegionConfig, stop: Optional[StoppingRule]):
+def _default_stop(cfg: TrustRegionConfig, stop: Optional[StoppingRule]):
     return stop if stop is not None else StoppingRule(budget=cfg.budget)
 
 
@@ -329,7 +308,7 @@ def run_tr_saa(problem, cfg: TrustRegionConfig, resample: bool = False, rng=None
     name = "tr-saa-resample" if resample else "tr-saa"
     if vcfg is None:
         vcfg = VariantConfig.for_variant(name, problem.dimension)
-    stop = _default_stop(problem, cfg, stop)
+    stop = _default_stop(cfg, stop)
     comp = TrSaaComponents(vcfg, resample, trace=trace, budget=stop.budget)
     return run(problem, comp, comp, solver, cfg, stop,
                variant=name, nu=nu, rng=rng, trace=trace)
@@ -341,7 +320,7 @@ def run_storm_unbiased(problem, cfg: TrustRegionConfig, rng=None, *,
                        solver=dogleg, trace=None, nu: float = 0.5) -> RunRecord:
     if vcfg is None:
         vcfg = VariantConfig.for_variant("storm-unbiased", problem.dimension)
-    stop = _default_stop(problem, cfg, stop)
+    stop = _default_stop(cfg, stop)
     comp = StormUnbiasedComponents(vcfg, trace=trace, budget=stop.budget)
     return run(problem, comp, comp, solver, cfg, stop,
                variant="storm-unbiased", nu=nu, rng=rng, trace=trace)
@@ -354,7 +333,7 @@ def run_storm_failure(problem, cfg: TrustRegionConfig, rng=None, *,
     if vcfg is None:
         vcfg = VariantConfig.for_variant("storm-failure", problem.dimension)
     comp = StormFailureComponents(vcfg, trace=trace)
-    return run(problem, comp, comp, solver, cfg, _default_stop(problem, cfg, stop),
+    return run(problem, comp, comp, solver, cfg, _default_stop(cfg, stop),
                variant="storm-failure", nu=nu, rng=rng, trace=trace)
 
 
@@ -367,8 +346,19 @@ def run_storm_logistic(problem: LogisticProblem, cfg: TrustRegionConfig, rng=Non
                                          n_train=problem.train.n_samples)
     comp = StormLogisticComponents(vcfg, hessian=hessian, trace=trace)
     name = "storm-logistic" if hessian else "storm-logistic-h0"
-    return run(problem, comp, comp, solver, cfg, _default_stop(problem, cfg, stop),
+    return run(problem, comp, comp, solver, cfg, _default_stop(cfg, stop),
                variant=name, nu=nu, rng=rng, trace=trace)
+
+
+REGISTRY = {
+    "tr-saa": lambda problem, cfg, stop=None: run_tr_saa(problem, cfg, stop=stop),
+    "tr-saa-resample": lambda problem, cfg, stop=None: run_tr_saa(
+        problem, cfg, resample=True, stop=stop),
+    "storm-unbiased": lambda problem, cfg, stop=None: run_storm_unbiased(
+        problem, cfg, stop=stop),
+    "storm-failure": lambda problem, cfg, stop=None: run_storm_failure(
+        problem, cfg, stop=stop),
+}
 
 
 def run_adagrad(dataset: Dataset, step0: float = 1.0, batch: int = 10,

@@ -3,8 +3,10 @@ import io
 
 import pytest
 
-from stormopt.cli import cli_main
-from stormopt.profiles import ProfileTable
+from stormopt import variants
+from stormopt.cli import cli_main, run_profile_cells
+from stormopt.problems import get_problem
+from stormopt.profiles import ProfileTable, solve_threshold
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +75,13 @@ def test_unknown_flag_exits_nonzero(capsys):
     assert exc.value.code == 2
 
 
+def test_trailing_config_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--variant", "tr-saa", "--problem", "simple-quad-2", "--config"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_file_defaults_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("variant=storm-failure\nproblem=simple-quad-2\nps=1.0\nseed=3\n")
@@ -133,6 +142,25 @@ def test_profile_fstar_from_run(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 3  # header + one row per solver
+
+
+def test_solved_profile_cell_stops_at_its_target(monkeypatch):
+    spec = get_problem("simple-quad-2")
+    threshold = solve_threshold(spec.instantiate().true_f(spec.x0), spec.f_star, 1e-3)
+    records = []
+    entry = variants.REGISTRY["tr-saa"]
+
+    def capture(problem, cfg, stop=None):
+        records.append(entry(problem, cfg, stop))
+        return records[-1]
+
+    monkeypatch.setitem(variants.REGISTRY, "tr-saa", capture)
+    table = run_profile_cells(["tr-saa"], [spec], "multiplicative", 1e-3, 1e-3, 200, 1)
+    (rec,) = records
+    assert table.rows[0].evals_to_solve is not None
+    assert rec.stop_reason == "target"
+    crossed = [ev.k for ev in rec.events if ev.true_f_after < threshold]
+    assert crossed[0] == rec.events[-1].k  # no iteration past the first solve
 
 
 def test_train_synthetic_runs_and_reports(tmp_path, capsys):

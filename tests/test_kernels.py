@@ -1,9 +1,7 @@
 import numpy as np
 
 from stormopt import _kernels
-from stormopt._kernels import (_logistic_hess_numpy, _logistic_sums_numpy,
-                               _quad_basis_numpy, logistic_hess, logistic_sums,
-                               quad_basis, quad_basis_size)
+from stormopt._kernels import logistic_hess, logistic_sums, quad_basis, quad_basis_size
 
 
 def test_quad_basis_size():
@@ -11,11 +9,23 @@ def test_quad_basis_size():
     assert quad_basis_size(10) == 66
 
 
+def _quad_basis_loop(S):
+    """Reference layout built column by column with a Python pair loop."""
+    p, n = S.shape
+    cols = [np.ones((p, 1)), S, S**2]
+    cross = [S[:, i] * S[:, j] for i in range(n) for j in range(i + 1, n)]
+    if cross:
+        cols.append(np.stack(cross, axis=1))
+    return np.concatenate(cols, axis=1)
+
+
 def test_quad_basis_matches_numpy_reference():
     rng = np.random.default_rng(0)
-    for n in (1, 2, 5, 9):
-        S = rng.standard_normal((7, n))
-        np.testing.assert_allclose(quad_basis(S), _quad_basis_numpy(S), rtol=1e-14)
+    for p, n in ((7, 1), (7, 2), (7, 5), (7, 9), (66, 10), (231, 20), (3, 1), (5, 2)):
+        S = rng.standard_normal((p, n))
+        B = quad_basis(S)
+        assert B.shape == (p, quad_basis_size(n))
+        assert np.array_equal(B, _quad_basis_loop(S))
 
 
 def test_quad_basis_column_layout():
@@ -30,13 +40,17 @@ def test_logistic_kernels_match_numpy_reference():
     y = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
     w = rng.standard_normal(6)
     beta = 0.3
-    l1, g1 = logistic_sums(X, y, w, beta)
-    l2, g2 = _logistic_sums_numpy(X, y, w, beta)
-    assert abs(l1 - l2) < 1e-10 * max(1, abs(l2))
-    np.testing.assert_allclose(g1, g2, rtol=1e-10)
-    if _kernels.BACKEND == "numba":
-        np.testing.assert_allclose(_kernels._logistic_hess_jit(X, y, w, beta),
-                                   _logistic_hess_numpy(X, y, w, beta), rtol=1e-10)
+    t = y * (X @ w + beta)
+    loss, grad = logistic_sums(X, y, w, beta)
+    # loss_i = log(1 + exp(-t_i)); d loss_i / d t_i = -1 / (1 + exp(t_i))
+    assert abs(loss - np.logaddexp(0.0, -t).sum()) < 1e-10 * max(1.0, abs(loss))
+    dt = -np.exp(-np.logaddexp(0.0, t))
+    coef = y * dt
+    np.testing.assert_allclose(grad, np.concatenate([X.T @ coef, [coef.sum()]]), rtol=1e-10)
+    s = 1.0 / (1.0 + np.exp(-t))
+    Xb = np.hstack([X, np.ones((40, 1))])
+    np.testing.assert_allclose(logistic_hess(X, y, w, beta),
+                               Xb.T @ (Xb * (s * (1.0 - s))[:, None]), rtol=1e-10)
 
 
 def test_logistic_kernels_stable_for_large_margins():
@@ -52,4 +66,4 @@ def test_logistic_kernels_stable_for_large_margins():
 
 
 def test_backend_reports_a_valid_choice():
-    assert _kernels.BACKEND in ("numba", "numpy")
+    assert _kernels.BACKEND == "numpy"

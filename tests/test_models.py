@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from stormopt.models import (GeometryError, QuadraticModel, fit_gradient_taylor,
-                             fit_interpolation, fit_quadratic_set, fit_regression,
-                             make_poised_set, probe_fully_linear, sample_in_ball)
+from stormopt.models import (KIND_REGRESSION, GeometryError, PoisedSet, QuadraticModel,
+                             fit_gradient_taylor, fit_interpolation, fit_quadratic_set,
+                             fit_regression, make_poised_set, probe_fully_linear,
+                             sample_in_ball)
 
 
 def rng_(seed=0):
@@ -151,6 +152,10 @@ def test_regression_rank_gate():
     ps.points = np.zeros((8, 2))  # all coincident
     with pytest.raises(GeometryError):
         fit_regression(ps, list(range(8)), degree=1)
+    # 2 points cannot determine the 3 coefficients of a linear model in n=2
+    few = PoisedSet(np.array([[0.0, 0.0], [0.5, 0.0]]), np.zeros(2), 1.0, KIND_REGRESSION)
+    with pytest.raises(GeometryError):
+        fit_regression(few, [0.0, 1.0], degree=1)
 
 
 def test_noisy_quadratic_regression_recovers_hessian():

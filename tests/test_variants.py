@@ -7,9 +7,9 @@ from stormopt.models import QuadraticModel
 from stormopt.oracles import NoiseSpec
 from stormopt.problems import get_problem
 from stormopt.subproblem import dogleg
-from stormopt.variants import (StormLogisticComponents, VariantConfig, _rate_linear,
-                               run_adagrad, run_storm_failure, run_storm_logistic,
-                               run_storm_unbiased, run_tr_saa)
+from stormopt.variants import (REGISTRY, StormLogisticComponents, VariantConfig,
+                               _rate_linear, run_adagrad, run_storm_failure,
+                               run_storm_logistic, run_storm_unbiased, run_tr_saa)
 
 
 def problem_with(name="simple-quad-2", noise=NoiseSpec()):
@@ -18,13 +18,13 @@ def problem_with(name="simple-quad-2", noise=NoiseSpec()):
 
 # ------------------------------------------------------------- sample rates
 
-def test_tr_saa_sample_rate_rule():
+def test_tr_saa_sample_rate():
     assert _rate_linear(10, 0, 1.0) == 10
     assert _rate_linear(10, 5, 0.01) == 100
     assert _rate_linear(10, 60, 0.5) == 70
 
 
-def test_logistic_sample_rate_rule():
+def test_logistic_sample_rate():
     vcfg = VariantConfig.for_variant("storm-logistic", n=11, n_train=50_000)
     comp = StormLogisticComponents(vcfg)
     assert vcfg.p0 == 12  # m + 2 with m = dimension - 1
@@ -188,6 +188,16 @@ def test_budget_compliance(runner):
     rec = runner(problem, TrustRegionConfig(budget=budget, seed=1))
     worst = max(ev.evals_used_this_iter for ev in rec.events)
     assert rec.eval_total <= budget + worst
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_entry_stops_at_a_reachable_target(name):
+    budget = 2000
+    rec = REGISTRY[name](problem_with("simple-quad-2"),
+                         TrustRegionConfig(budget=budget, seed=0),
+                         StoppingRule(budget=budget, target_f=1e-2))
+    assert rec.stop_reason == "target"
+    assert rec.f_final_true < 1e-2
 
 
 # ----------------------------------------------------- deterministic limits
