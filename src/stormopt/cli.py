@@ -22,7 +22,8 @@ from .engine import StoppingRule, TrustRegionConfig
 from .logistic import LogisticProblem, load_libsvm, make_synthetic, train_test_split
 from .oracles import NoiseSpec, per_s_to_sigma
 from .problems import builtin_suite, get_problem
-from .profiles import ProfileTable, build_profiles, profile_fraction, solve_threshold
+from .profiles import (ProfileTable, build_profiles, check_tau, profile_fraction,
+                       solve_threshold)
 from .theory import (check_probabilities, compute_theory_constants,
                      failure_alpha_beta, min_success_probability)
 from .variants import REGISTRY, run_adagrad, run_storm_failure, run_storm_logistic
@@ -112,6 +113,8 @@ def _add_noise_flags(p: argparse.ArgumentParser, default_noise: str) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.ftol is None:
+        check_tau(args.tau)
     spec = get_problem(args.problem)
     noise = _noise_from_args(args, spec.m)
     problem = spec.instantiate(noise)
@@ -158,7 +161,15 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _check_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_sweep(args) -> int:
+    _check_count("--seeds", args.seeds)
+    if not np.isfinite(args.ftol):
+        raise ValueError(f"--ftol must be finite, got {args.ftol!r}")
     spec = get_problem(args.problem)
     grid = [float(v) for v in args.ps_grid.split(",")]
     budget = args.budget
@@ -239,6 +250,8 @@ def run_profile_cells(solvers: List[str], specs, noise_kind: str, sigma: float,
 
 
 def cmd_profile(args) -> int:
+    _check_count("--seeds", args.seeds)
+    check_tau(args.tau)
     solvers = [s.strip() for s in args.solvers.split(",")]
     for s in solvers:
         if s not in REGISTRY:

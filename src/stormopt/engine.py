@@ -63,6 +63,23 @@ class TrustRegionState:
     last_model_gradient_norm: float = 0.0
 
 
+def _same(a, b) -> bool:
+    """Exact equality of scalars and of tuples or lists of them, except that a
+    float NaN equals a float NaN in the same position. A NaN is unequal to
+    itself, so records whose NaN fields are distinct objects, as after
+    pickling, would otherwise differ."""
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+    return a == b or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
+
+
+def _same_array(a, b) -> bool:
+    """``np.array_equal`` with NaN equal to NaN; None equals only None."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b, equal_nan=True)
+
+
 @dataclass(eq=False)
 class IterationEvent:
     k: int
@@ -86,14 +103,15 @@ class IterationEvent:
             return NotImplemented
         return (
             self.k == other.k
-            and np.array_equal(self.x_before, other.x_before)
-            and np.array_equal(self.x_after, other.x_after)
-            and (self.delta_before, self.delta_after, self.rho, self.model_gradient_norm,
+            and _same_array(self.x_before, other.x_before)
+            and _same_array(self.x_after, other.x_after)
+            and _same(
+                (self.delta_before, self.delta_after, self.rho, self.model_gradient_norm,
                  self.f0_estimate, self.fs_estimate, self.evals_used_this_iter,
-                 self.success, self.flag, self.true_f_before, self.true_f_after, self.phi)
-            == (other.delta_before, other.delta_after, other.rho, other.model_gradient_norm,
-                other.f0_estimate, other.fs_estimate, other.evals_used_this_iter,
-                other.success, other.flag, other.true_f_before, other.true_f_after, other.phi)
+                 self.success, self.flag, self.true_f_before, self.true_f_after, self.phi),
+                (other.delta_before, other.delta_after, other.rho, other.model_gradient_norm,
+                 other.f0_estimate, other.fs_estimate, other.evals_used_this_iter,
+                 other.success, other.flag, other.true_f_before, other.true_f_after, other.phi))
         )
 
 
@@ -122,11 +140,11 @@ class RunRecord:
         if not isinstance(other, RunRecord):
             return NotImplemented
         return (
-            (self.problem, self.variant, self.seed, self.eval_total, self.stop_reason,
-             self.f_final_true, self.loss_trace)
-            == (other.problem, other.variant, other.seed, other.eval_total, other.stop_reason,
-                other.f_final_true, other.loss_trace)
-            and np.array_equal(self.x_final, other.x_final)
+            _same((self.problem, self.variant, self.seed, self.eval_total, self.stop_reason,
+                   self.f_final_true, self.loss_trace),
+                  (other.problem, other.variant, other.seed, other.eval_total,
+                   other.stop_reason, other.f_final_true, other.loss_trace))
+            and _same_array(self.x_final, other.x_final)
             and self.events == other.events
         )
 
@@ -228,7 +246,8 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
         if hasattr(model_builder, "update_after_iteration"):
             model_builder.update_after_iteration(problem, state, trial, fs, success, rng)
 
-        true_after = ref[0](state.x) if ref is not None else None
+        if success and ref is not None:  # a rejected step leaves state.x, and f, as they were
+            true_after = ref[0](state.x)
         phi = phi_monitor(true_after, state.delta, nu) if true_after is not None else None
         record.events.append(IterationEvent(
             k=state.k, x_before=x_before, x_after=state.x.copy(),

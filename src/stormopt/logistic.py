@@ -189,8 +189,3 @@ class LogisticProblem:
         loss, grad = logistic_value_grad(X, y, w, beta, self.lam)
         hess = logistic_hessian(X, y, w, beta, self.lam) if want_hessian else None
         return loss, grad, hess
-
-    def noisy_eval(self, x, rng) -> float:
-        """Single-point estimate from one uniformly drawn data sample."""
-        idx = self.draw_sample(1, rng)
-        return self.sampled_loss(idx, x)

@@ -1,20 +1,26 @@
 """Noisy sum-of-squares oracles and sample-size rules.
 
-The objective family is f(x) = sum_i f_i(x)^2 over smooth components f_i.
-Noise enters per component: multiplicative (1+w_i) factors, additive w_i
-offsets (w_i uniform on [-sigma, sigma]), or computation failures where a
-small component is replaced by a garbage value V with probability sigma.
+The objective family is f(x) = sum_i f_i(x)^2 over smooth components f_i,
+given as one residual callable returning the stacked f_i(x). Noise enters
+per component: multiplicative (1+w_i) factors, additive w_i offsets (w_i
+uniform on [-sigma, sigma]), or computation failures where a small component
+is replaced by a garbage value V with probability sigma.
+
+``StochasticProblem.noisy_evals(x, count, rng)`` is the one oracle entry
+point: it evaluates the residual once and draws the noise of all ``count``
+samples in one generator call. The draws consume the generator exactly as
+``count`` single evaluations would, so ``noisy_eval`` (one sample) and
+``averaged_estimate`` (the mean of p samples) are bit-identical to a loop of
+single draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
-
-Components = Union[Callable[[np.ndarray], np.ndarray], Sequence[Callable]]
 
 DEFAULT_GARBAGE_VALUE = -10000.0
 
@@ -43,29 +49,58 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind: {self.kind}")
         if self.failure_mode not in ("component", "objective"):
             raise ValueError(f"unknown failure mode: {self.failure_mode}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        if self.kind == "failure" and self.sigma > 1:
+            raise ValueError(f"failure sigma is a probability, got {self.sigma!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
 
-def _component_values(components: Components, x: np.ndarray) -> np.ndarray:
-    if callable(components):
-        return np.atleast_1d(np.asarray(components(x), dtype=float))
-    return np.array([float(f(x)) for f in components])
+def _component_values(residual: Callable, x: np.ndarray) -> np.ndarray:
+    return np.atleast_1d(np.asarray(residual(x), dtype=float))
 
 
-def eval_multiplicative(components: Components, sigma: float, x, rng) -> float:
+def _noisy_values(f: np.ndarray, noise: NoiseSpec, count: int, rng) -> np.ndarray:
+    """``count`` noisy sums of squares of the component values ``f``.
+
+    Row r of a (count, m) draw is what the r-th of ``count`` single draws of
+    size m would get, and ``sum(axis=1)`` reduces each row as ``np.sum``
+    reduces a 1-D array, so every value is bit-identical to a single draw.
+    """
+    kind, sigma = noise.kind, noise.sigma
+    if kind == "multiplicative":
+        w = rng.uniform(-sigma, sigma, size=(count, f.size))
+        return (((1.0 + w) * f) ** 2).sum(axis=1)
+    if kind == "additive":
+        w = rng.uniform(-sigma, sigma, size=(count, f.size))
+        return ((f + w) ** 2).sum(axis=1)
+    if kind == "none" or sigma <= 0:
+        return np.full(count, np.sum(f**2))
+    small = np.abs(f) < noise.epsilon
+    if noise.failure_mode == "objective":
+        # the whole value fails; whether it can does not depend on the sample
+        if not np.any(small):
+            return np.full(count, np.sum(f**2))
+        fail = rng.uniform(size=count) < sigma
+        return np.where(fail, float(noise.garbage_value), np.sum(f**2))
+    fail = small & (rng.uniform(size=(count, f.size)) < sigma)
+    return (np.where(fail, noise.garbage_value, f) ** 2).sum(axis=1)
+
+
+def eval_multiplicative(residual: Callable, sigma: float, x, rng) -> float:
     """sum((1 + w_i) f_i(x))^2 with w_i ~ U[-sigma, sigma], fresh per call."""
-    f = _component_values(components, x)
-    w = rng.uniform(-sigma, sigma, size=f.size)
-    return float(np.sum(((1.0 + w) * f) ** 2))
+    noise = NoiseSpec(kind="multiplicative", sigma=sigma)
+    return float(_noisy_values(_component_values(residual, x), noise, 1, rng)[0])
 
 
-def eval_additive(components: Components, sigma: float, x, rng) -> float:
+def eval_additive(residual: Callable, sigma: float, x, rng) -> float:
     """sum(f_i(x) + w_i)^2 with w_i ~ U[-sigma, sigma], fresh per call."""
-    f = _component_values(components, x)
-    w = rng.uniform(-sigma, sigma, size=f.size)
-    return float(np.sum((f + w) ** 2))
+    noise = NoiseSpec(kind="additive", sigma=sigma)
+    return float(_noisy_values(_component_values(residual, x), noise, 1, rng)[0])
 
 
-def eval_failure(components: Components, sigma: float, epsilon: float, V: float,
+def eval_failure(residual: Callable, sigma: float, epsilon: float, V: float,
                  x, rng, mode: str = "component") -> float:
     """Computation-failure oracle.
 
@@ -74,16 +109,9 @@ def eval_failure(components: Components, sigma: float, epsilon: float, V: float,
     the whole sum of squares is replaced by V with probability sigma whenever
     any component is below epsilon.
     """
-    f = _component_values(components, x)
-    if mode == "objective":
-        if sigma > 0 and np.any(np.abs(f) < epsilon) and rng.uniform() < sigma:
-            return float(V)
-        return float(np.sum(f**2))
-    if sigma > 0:
-        small = np.abs(f) < epsilon
-        fail = small & (rng.uniform(size=f.size) < sigma)
-        f = np.where(fail, V, f)
-    return float(np.sum(f**2))
+    noise = NoiseSpec(kind="failure", sigma=sigma, epsilon=epsilon, garbage_value=V,
+                      failure_mode=mode)
+    return float(_noisy_values(_component_values(residual, x), noise, 1, rng)[0])
 
 
 def per_s_to_sigma(p_s: float, m: int) -> float:
@@ -97,8 +125,8 @@ class StochasticProblem:
     """A noisy objective with an evaluation counter and optional noiseless reference.
 
     ``residual(x)`` returns the stacked component values; ``jacobian(x)`` their
-    Jacobian (used only for the noiseless gradient reference). Every call to
-    noisy_eval counts exactly one evaluation.
+    Jacobian (used only for the noiseless gradient reference). Every noisy
+    sample counts one evaluation: ``noisy_eval`` one, ``noisy_evals`` ``count``.
     """
 
     def __init__(self, name: str, dimension: int, residual: Callable,
@@ -132,25 +160,21 @@ class StochasticProblem:
         return (self.true_f, self.true_grad)
 
     # noisy oracle ---------------------------------------------------------
+    def noisy_evals(self, x, count: int, rng) -> np.ndarray:
+        """``count`` fresh noisy evaluations at one point (counts ``count``)."""
+        self.eval_count += count
+        f = _component_values(self.residual, np.asarray(x, dtype=float))
+        return _noisy_values(f, self.noise, count, rng)
+
     def noisy_eval(self, x, rng) -> float:
-        self.eval_count += 1
-        kind = self.noise.kind
-        if kind == "none":
-            return self.true_f(x)
-        if kind == "multiplicative":
-            return eval_multiplicative(self.residual, self.noise.sigma, x, rng)
-        if kind == "additive":
-            return eval_additive(self.residual, self.noise.sigma, x, rng)
-        return eval_failure(self.residual, self.noise.sigma, self.noise.epsilon,
-                            self.noise.garbage_value, x, rng, self.noise.failure_mode)
+        return float(self.noisy_evals(x, 1, rng)[0])
 
 
 def averaged_estimate(problem, x, p: int, rng) -> float:
     """Mean of p fresh noisy evaluations (counts p against the budget)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    vals = [problem.noisy_eval(x, rng) for _ in range(p)]
-    return float(np.mean(vals))
+    return float(np.mean(problem.noisy_evals(x, p, rng)))
 
 
 def _ceil_with_tolerance(v: float, rel: float = 1e-9) -> int:

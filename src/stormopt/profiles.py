@@ -22,10 +22,14 @@ class DegenerateProblemError(ValueError):
     pass
 
 
+def check_tau(tau: float) -> None:
+    if not 0 < tau < 1:  # also rejects NaN
+        raise ValueError(f"tau must lie in (0,1), got {tau!r}")
+
+
 def tau_solved(f_x0: float, f_best_found: float, f_star: float, tau: float) -> bool:
     """True iff (f(x0) - f') / (f(x0) - f*) > 1 - tau."""
-    if not 0 < tau < 1:
-        raise ValueError("tau must lie in (0,1)")
+    check_tau(tau)
     if f_x0 <= f_star:
         raise DegenerateProblemError("f(x0) must exceed f_star")
     return (f_x0 - f_best_found) / (f_x0 - f_star) > 1.0 - tau
@@ -33,6 +37,7 @@ def tau_solved(f_x0: float, f_best_found: float, f_star: float, tau: float) -> b
 
 def solve_threshold(f_x0: float, f_star: float, tau: float) -> float:
     """Value below which the tau criterion holds: f' < f* + tau (f(x0) - f*)."""
+    check_tau(tau)
     if f_x0 <= f_star:
         raise DegenerateProblemError("f(x0) must exceed f_star")
     return f_star + tau * (f_x0 - f_star)

@@ -68,6 +68,26 @@ def test_unknown_problem_is_usage_error(capsys):
     assert "unknown problem" in err
 
 
+def test_non_finite_sigma_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "run", "--variant", "tr-saa", "--problem", "simple-quad-2",
+                           "--noise", "additive", "--sigma", "nan")
+    assert code == 2
+    assert err.startswith("error:") and "sigma" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--problem", "simple-quad-2", "--seeds", "0"),
+    ("sweep", "--problem", "simple-quad-2", "--seeds", "-1"),
+    ("profile", "--problems", "simple-quad-2", "--tau", "nan"),
+    ("run", "--variant", "tr-saa", "--problem", "simple-quad-2", "--tau", "nan"),
+])
+def test_bad_counts_and_tolerances_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_unknown_flag_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["run", "--no-such-flag", "x", "--variant", "tr-saa",

@@ -245,3 +245,45 @@ def test_phi_recorded_with_reference():
               StoppingRule(budget=100, max_iterations=5), nu=0.5)
     for ev in rec.events:
         assert ev.phi == pytest.approx(0.5 * ev.true_f_after + 0.5 * ev.delta_after**2)
+
+
+def test_rejected_steps_reuse_the_noiseless_value():
+    # the engine evaluates the noiseless f once at x0 and once per accepted
+    # step; a rejected step leaves x, and so f, unchanged
+    problem = get_problem("rosenbrock-2").instantiate(
+        NoiseSpec(kind="multiplicative", sigma=1e-2))
+    calls = []
+    true_f = problem.true_f
+
+    def counting_true_f(x):
+        calls.append(np.array(x))
+        return true_f(x)
+
+    problem.true_f = counting_true_f
+    rec = run_tr_saa(problem, TrustRegionConfig(budget=2_000, seed=42))
+    accepted = sum(ev.success for ev in rec.events)
+    assert 0 < accepted < len(rec.events)  # both kinds of step occur
+    assert len(calls) == 1 + accepted
+    for ev in rec.events:
+        assert ev.true_f_after == true_f(ev.x_after)
+
+
+# --------------------------------------------------------------- equality
+
+def test_pickled_flagged_record_equals_original():
+    # flagged iterations carry NaN estimates; pickling makes fresh NaN
+    # objects, which must still compare equal position by position
+    import pickle
+
+    from stormopt.oracles import per_s_to_sigma
+    from stormopt.variants import run_storm_failure
+
+    spec = get_problem("simple-quad-10")
+    problem = spec.instantiate(NoiseSpec(kind="failure", sigma=per_s_to_sigma(0.3, spec.m)))
+    rec = run_storm_failure(problem, TrustRegionConfig(budget=2_000, seed=1))
+    flagged = [i for i, ev in enumerate(rec.events) if ev.flag is not None]
+    assert flagged and np.isnan(rec.events[flagged[0]].fs_estimate)
+    copy = pickle.loads(pickle.dumps(rec))
+    assert copy == rec
+    copy.events[flagged[0]].fs_estimate = 1.0
+    assert copy != rec  # a NaN still differs from a number

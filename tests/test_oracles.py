@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stormopt.oracles import (NoiseSpec, averaged_estimate,
+from stormopt.oracles import (NoiseSpec, StochasticProblem, averaged_estimate,
                               chebyshev_gradient_sample_size, chebyshev_sample_size,
                               eval_additive, eval_failure, eval_multiplicative,
                               per_s_to_sigma)
@@ -150,6 +150,77 @@ def test_averaged_estimate_counts_and_exactness():
     assert prob.eval_count == 8
 
 
+def _scalar_noisy_eval(residual, noise, x, rng):
+    """One noisy evaluation, drawn as the scalar oracle drew it: a fresh
+    residual and a size-m noise draw per sample."""
+    f = np.atleast_1d(np.asarray(residual(x), dtype=float))
+    sigma = noise.sigma
+    if noise.kind == "none":
+        return float(np.sum(f**2))
+    if noise.kind == "multiplicative":
+        w = rng.uniform(-sigma, sigma, size=f.size)
+        return float(np.sum(((1.0 + w) * f) ** 2))
+    if noise.kind == "additive":
+        w = rng.uniform(-sigma, sigma, size=f.size)
+        return float(np.sum((f + w) ** 2))
+    if noise.failure_mode == "objective":
+        if sigma > 0 and np.any(np.abs(f) < noise.epsilon) and rng.uniform() < sigma:
+            return float(noise.garbage_value)
+        return float(np.sum(f**2))
+    if sigma > 0:
+        small = np.abs(f) < noise.epsilon
+        fail = small & (rng.uniform(size=f.size) < sigma)
+        f = np.where(fail, noise.garbage_value, f)
+    return float(np.sum(f**2))
+
+
+RESIDUALS = {
+    # small and large components; 150 takes numpy's blocked pairwise sum
+    "mixed-4": lambda x: np.array([x[0], 0.01 * x[1], 3.0, 1e-3]),
+    "mixed-150": lambda x: np.concatenate([np.linspace(-0.2, 0.2, 75) * x[0],
+                                           np.linspace(1.0, 4.0, 75) * x[1]]),
+    "large-3": lambda x: np.array([5.0 + x[0], -7.0, 2.0 * x[1]]),
+}
+NOISES = {
+    "none": NoiseSpec(),
+    "multiplicative": NoiseSpec(kind="multiplicative", sigma=0.1),
+    "additive": NoiseSpec(kind="additive", sigma=0.5),
+    "failure-component": NoiseSpec(kind="failure", sigma=0.3),
+    "failure-component-sigma-0": NoiseSpec(kind="failure", sigma=0.0),
+    "failure-objective": NoiseSpec(kind="failure", sigma=0.3, failure_mode="objective"),
+    "failure-objective-sigma-0": NoiseSpec(kind="failure", sigma=0.0,
+                                           failure_mode="objective"),
+}
+
+
+@pytest.mark.parametrize("p", [1, 7, 333])
+@pytest.mark.parametrize("noise", NOISES, ids=str)
+@pytest.mark.parametrize("residual", RESIDUALS, ids=str)
+def test_averaged_estimate_matches_scalar_loop_bit_for_bit(residual, noise, p):
+    x = np.array([0.3, -1.1])
+    prob = StochasticProblem("t", 2, RESIDUALS[residual], x, noise=NOISES[noise])
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    got = averaged_estimate(prob, x, p, rng)
+    want = float(np.mean([_scalar_noisy_eval(RESIDUALS[residual], NOISES[noise], x, ref_rng)
+                          for _ in range(p)]))
+    assert got == want
+    assert prob.eval_count == p
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # a single draw through noisy_eval continues the same stream
+    assert prob.noisy_eval(x, rng) == _scalar_noisy_eval(RESIDUALS[residual],
+                                                         NOISES[noise], x, ref_rng)
+    assert prob.eval_count == p + 1
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_noisy_evals_counts_and_shape():
+    spec = get_problem("rosenbrock-2")
+    prob = spec.instantiate(NoiseSpec(kind="multiplicative", sigma=1e-2))
+    vals = prob.noisy_evals(spec.x0, 5, np.random.default_rng(18))
+    assert vals.shape == (5,) and prob.eval_count == 5
+    assert len(set(vals.tolist())) == 5  # fresh noise per sample
+
+
 def test_single_draw_is_single_eval():
     spec = get_problem("simple-quad-2")
     prob = spec.instantiate(NoiseSpec(kind="additive", sigma=0.1))
@@ -229,3 +300,21 @@ def test_noise_spec_validation():
         NoiseSpec(kind="gaussian")
     with pytest.raises(ValueError):
         per_s_to_sigma(1.5, 3)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(kind="additive", sigma=float("nan")),
+    dict(kind="multiplicative", sigma=float("inf")),
+    dict(kind="additive", sigma=-0.1),
+    dict(kind="failure", sigma=1.5),
+    dict(kind="failure", sigma=0.1, epsilon=float("nan")),
+    dict(kind="failure", sigma=0.1, epsilon=-1.0),
+])
+def test_noise_spec_rejects_out_of_range_values(fields):
+    with pytest.raises(ValueError):
+        NoiseSpec(**fields)
+
+
+def test_noise_spec_accepts_range_edges():
+    NoiseSpec(kind="failure", sigma=1.0, epsilon=0.0)
+    NoiseSpec(kind="multiplicative", sigma=2.0)  # factors may change sign

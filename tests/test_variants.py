@@ -101,13 +101,13 @@ def test_storm_unbiased_model_and_estimate_draws_are_separate():
     # the model consumes exactly p_k draws and the estimates 2 p_k fresh ones
     problem = problem_with(noise=NoiseSpec(kind="additive", sigma=0.1))
     counts = []
-    orig = problem.noisy_eval
+    orig = problem.noisy_evals
 
-    def counting_eval(x, rng):
-        counts.append(len(trace))  # trace length tags the phase of this draw
-        return orig(x, rng)
+    def counting_evals(x, count, rng):
+        counts.extend([len(trace)] * count)  # trace length tags the phase of each draw
+        return orig(x, count, rng)
 
-    problem.noisy_eval = counting_eval
+    problem.noisy_evals = counting_evals  # noisy_eval draws through it too
     trace = []
     rec = run_storm_unbiased(problem, TrustRegionConfig(budget=150, seed=0), trace=trace)
     phases = iteration_phases(trace)
