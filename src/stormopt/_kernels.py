@@ -4,6 +4,8 @@ gradient and Hessian sums, all vectorized numpy.
 ``BACKEND`` names the kernel path; there is only the numpy one.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -13,12 +15,22 @@ def quad_basis_size(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
+@lru_cache(maxsize=64)
+def pair_indices(n: int):
+    """Index arrays (i, j) of the pairs i < j of n coordinates, in row-major
+    order. Cached and read-only: ``np.triu_indices`` costs more than a whole
+    basis matrix at these sizes."""
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 # Column layout of the quadratic basis, for steps s scaled to the unit ball:
-#   [1, s_1..s_n, s_1^2..s_n^2, s_i*s_j for i<j (row-major pair order)]
+#   [1, s_1..s_n, s_1^2..s_n^2, s_i*s_j for i<j (pair_indices order)]
 # The unpacking in models.py depends on this exact order.
 def quad_basis(S) -> np.ndarray:
     S = np.asarray(S, dtype=np.float64)
-    i, j = np.triu_indices(S.shape[1], k=1)
+    i, j = pair_indices(S.shape[1])
     return np.concatenate([np.ones((S.shape[0], 1)), S, S**2, S[:, i] * S[:, j]], axis=1)
 
 

@@ -5,15 +5,18 @@ step calculation with a Cauchy-decrease certificate, estimation of the
 function values at x_k and x_k + s_k, the acceptance test, and the radius
 update. Model builders and estimators are duck-typed objects:
 
-    builder.build(problem, state, rng) -> QuadraticModel   (may raise GeometryError)
+    builder.build(problem, state, rng) -> QuadraticModel
+        -- may raise GeometryError or numpy.linalg.LinAlgError
     builder.update_after_iteration(problem, state, trial, estimate, success, rng)
         -- optional hook, called after the radius update
     estimator.estimate(problem, state, model, step, rng) -> EstimatePair
 
 A solver is any callable (model, delta) -> StepResult.
 
-Degenerate model geometry and zero model decrease both yield a flagged
-unsuccessful iteration (the radius shrinks and the loop continues).
+Degenerate model geometry (a ``GeometryError``, or a ``LinAlgError`` from a
+fit whose least-squares solve did not converge) and zero model decrease both
+yield a flagged unsuccessful iteration (the radius shrinks and the loop
+continues).
 """
 
 from __future__ import annotations
@@ -57,10 +60,6 @@ class TrustRegionState:
     k: int
     x: np.ndarray
     delta: float
-    eval_count: int = 0
-    last_rho: Optional[float] = None
-    last_success: bool = False
-    last_model_gradient_norm: float = 0.0
 
 
 def _same(a, b) -> bool:
@@ -219,7 +218,7 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
         step = None
         try:
             model = model_builder.build(problem, state, rng)
-        except GeometryError:
+        except (GeometryError, np.linalg.LinAlgError):
             model = None
             flag = "geometry"
         if model is not None:
@@ -261,10 +260,6 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
         record.loss_trace.append((problem.eval_count, true_after))
 
         state.k += 1
-        state.eval_count = problem.eval_count
-        state.last_rho = rho
-        state.last_success = success
-        state.last_model_gradient_norm = float(grad_norm) if np.isfinite(grad_norm) else 0.0
 
         if (stop.target_f is not None and true_after is not None
                 and true_after < stop.target_f):

@@ -169,11 +169,8 @@ def _unpack_coefficients(coef: np.ndarray, n: int, degree: int, scale: float):
     H = np.zeros((n, n))
     if degree == 2:
         H[np.diag_indices(n)] = coef[1 + n : 1 + 2 * n]
-        c = 1 + 2 * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                H[i, j] = H[j, i] = coef[c] / 2.0
-                c += 1
+        i, j = _kernels.pair_indices(n)  # the pair order of quad_basis
+        H[i, j] = H[j, i] = coef[1 + 2 * n :] / 2.0
         H /= scale**2
     return f0, g, H
 

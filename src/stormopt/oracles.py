@@ -6,12 +6,20 @@ per component: multiplicative (1+w_i) factors, additive w_i offsets (w_i
 uniform on [-sigma, sigma]), or computation failures where a small component
 is replaced by a garbage value V with probability sigma.
 
-``StochasticProblem.noisy_evals(x, count, rng)`` is the one oracle entry
-point: it evaluates the residual once and draws the noise of all ``count``
-samples in one generator call. The draws consume the generator exactly as
-``count`` single evaluations would, so ``noisy_eval`` (one sample) and
-``averaged_estimate`` (the mean of p samples) are bit-identical to a loop of
-single draws.
+The oracle has two entry points over one noise core, ``_noisy_values``:
+
+* ``StochasticProblem.noisy_evals(x, count, rng)``: one point, many draws. It
+  evaluates the residual once and draws the noise of all ``count`` samples
+  in one generator call. ``noisy_eval`` (one sample) and
+  ``averaged_estimate`` (the mean of p samples) go through it.
+* ``StochasticProblem.noisy_eval_batch(X, rng)``: many points, one draw
+  each. It evaluates the residual once on the whole ``(p, n)`` array, so the
+  residual must work over the last axis (see ``StochasticProblem``), and
+  draws the noise of all p rows in one generator call.
+
+Both consume the generator exactly as the same single evaluations in a loop
+would, so their values, evaluation counts and generator states are
+bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -58,46 +66,51 @@ class NoiseSpec:
 
 
 def _component_values(residual: Callable, x: np.ndarray) -> np.ndarray:
-    return np.atleast_1d(np.asarray(residual(x), dtype=float))
+    return np.asarray(residual(x), dtype=float).reshape(-1)
 
 
-def _noisy_values(f: np.ndarray, noise: NoiseSpec, count: int, rng) -> np.ndarray:
-    """``count`` noisy sums of squares of the component values ``f``.
+def _noisy_values(F: np.ndarray, noise: NoiseSpec, rng) -> np.ndarray:
+    """One noisy sum of squares per row of the (rows, m) component values ``F``.
 
-    Row r of a (count, m) draw is what the r-th of ``count`` single draws of
+    Row r of a (rows, m) draw is what the r-th of ``rows`` single draws of
     size m would get, and ``sum(axis=1)`` reduces each row as ``np.sum``
     reduces a 1-D array, so every value is bit-identical to a single draw.
     """
     kind, sigma = noise.kind, noise.sigma
     if kind == "multiplicative":
-        w = rng.uniform(-sigma, sigma, size=(count, f.size))
-        return (((1.0 + w) * f) ** 2).sum(axis=1)
+        w = rng.uniform(-sigma, sigma, size=F.shape)
+        return (((1.0 + w) * F) ** 2).sum(axis=1)
     if kind == "additive":
-        w = rng.uniform(-sigma, sigma, size=(count, f.size))
-        return ((f + w) ** 2).sum(axis=1)
+        w = rng.uniform(-sigma, sigma, size=F.shape)
+        return ((F + w) ** 2).sum(axis=1)
     if kind == "none" or sigma <= 0:
-        return np.full(count, np.sum(f**2))
-    small = np.abs(f) < noise.epsilon
+        return (F**2).sum(axis=1)
+    small = np.abs(F) < noise.epsilon
     if noise.failure_mode == "objective":
-        # the whole value fails; whether it can does not depend on the sample
-        if not np.any(small):
-            return np.full(count, np.sum(f**2))
-        fail = rng.uniform(size=count) < sigma
-        return np.where(fail, float(noise.garbage_value), np.sum(f**2))
-    fail = small & (rng.uniform(size=(count, f.size)) < sigma)
-    return (np.where(fail, noise.garbage_value, f) ** 2).sum(axis=1)
+        # the whole value fails; only rows with a small component draw, one
+        # uniform each in row order, as single draws would
+        out = (F**2).sum(axis=1)
+        can_fail = small.any(axis=1)
+        fail = rng.uniform(size=int(np.count_nonzero(can_fail))) < sigma
+        out[np.flatnonzero(can_fail)[fail]] = noise.garbage_value
+        return out
+    fail = small & (rng.uniform(size=F.shape) < sigma)
+    return (np.where(fail, noise.garbage_value, F) ** 2).sum(axis=1)
+
+
+def _single(residual: Callable, noise: NoiseSpec, x, rng) -> float:
+    f = _component_values(residual, x)
+    return float(_noisy_values(f.reshape(1, -1), noise, rng)[0])
 
 
 def eval_multiplicative(residual: Callable, sigma: float, x, rng) -> float:
     """sum((1 + w_i) f_i(x))^2 with w_i ~ U[-sigma, sigma], fresh per call."""
-    noise = NoiseSpec(kind="multiplicative", sigma=sigma)
-    return float(_noisy_values(_component_values(residual, x), noise, 1, rng)[0])
+    return _single(residual, NoiseSpec(kind="multiplicative", sigma=sigma), x, rng)
 
 
 def eval_additive(residual: Callable, sigma: float, x, rng) -> float:
     """sum(f_i(x) + w_i)^2 with w_i ~ U[-sigma, sigma], fresh per call."""
-    noise = NoiseSpec(kind="additive", sigma=sigma)
-    return float(_noisy_values(_component_values(residual, x), noise, 1, rng)[0])
+    return _single(residual, NoiseSpec(kind="additive", sigma=sigma), x, rng)
 
 
 def eval_failure(residual: Callable, sigma: float, epsilon: float, V: float,
@@ -111,7 +124,7 @@ def eval_failure(residual: Callable, sigma: float, epsilon: float, V: float,
     """
     noise = NoiseSpec(kind="failure", sigma=sigma, epsilon=epsilon, garbage_value=V,
                       failure_mode=mode)
-    return float(_noisy_values(_component_values(residual, x), noise, 1, rng)[0])
+    return _single(residual, noise, x, rng)
 
 
 def per_s_to_sigma(p_s: float, m: int) -> float:
@@ -125,8 +138,12 @@ class StochasticProblem:
     """A noisy objective with an evaluation counter and optional noiseless reference.
 
     ``residual(x)`` returns the stacked component values; ``jacobian(x)`` their
-    Jacobian (used only for the noiseless gradient reference). Every noisy
-    sample counts one evaluation: ``noisy_eval`` one, ``noisy_evals`` ``count``.
+    Jacobian (used only for the noiseless gradient reference). The residual
+    works over the last axis: given a ``(p, n)`` array of points it returns
+    the ``(p, m)`` array whose row i equals ``residual(X[i])`` bit for bit.
+    ``noisy_eval_batch`` relies on that. Every noisy sample counts one
+    evaluation: ``noisy_eval`` one, ``noisy_evals`` ``count`` and
+    ``noisy_eval_batch`` one per row.
     """
 
     def __init__(self, name: str, dimension: int, residual: Callable,
@@ -164,10 +181,23 @@ class StochasticProblem:
         """``count`` fresh noisy evaluations at one point (counts ``count``)."""
         self.eval_count += count
         f = _component_values(self.residual, np.asarray(x, dtype=float))
-        return _noisy_values(f, self.noise, count, rng)
+        return _noisy_values(f.reshape(1, -1).repeat(count, axis=0), self.noise, rng)
 
     def noisy_eval(self, x, rng) -> float:
         return float(self.noisy_evals(x, 1, rng)[0])
+
+    def noisy_eval_batch(self, X, rng) -> np.ndarray:
+        """One fresh noisy evaluation at each row of the (p, n) array ``X``
+        (counts p). The residual is called once, on all of ``X``."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"need a (p, n) array of points, got shape {X.shape}")
+        F = np.ascontiguousarray(self.residual(X), dtype=float)  # rows summed as 1-D arrays
+        if F.ndim != 2 or F.shape[0] != X.shape[0]:
+            raise ValueError(f"residual of {X.shape[0]} points must have shape "
+                             f"({X.shape[0]}, m), got {F.shape}")
+        self.eval_count += X.shape[0]
+        return _noisy_values(F, self.noise, rng)
 
 
 def averaged_estimate(problem, x, p: int, rng) -> float:

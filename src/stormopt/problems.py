@@ -1,5 +1,9 @@
 """Built-in sum-of-squares test problems with analytic Jacobians and known
-minimizers. Dimensions are desk-scale (2..10)."""
+minimizers. Dimensions are desk-scale (2..10).
+
+Every residual works over the last axis, as ``StochasticProblem`` requires:
+a (p, n) array of points gives the (p, m) array of their component values.
+The Jacobians take one point."""
 
 from __future__ import annotations
 
@@ -29,6 +33,14 @@ class ProblemSpec:
                                  f_star=self.f_star)
 
 
+def _pow(v, e):
+    """The C pow, on a scalar or element by element, as the scalar ``**`` of
+    one point computes it. The array ``**`` squares or uses a vectorized pow,
+    which differs from it in the last bit on some inputs, so rows of a batch
+    would not equal their one-point values."""
+    return np.float_power(v, e) if isinstance(v, np.ndarray) else v ** e
+
+
 def simple_quadratic_residual(x):
     return x - 1.0
 
@@ -38,10 +50,9 @@ def simple_quadratic_jacobian(x):
 
 
 def rosenbrock_residual(x):
-    n = len(x)
-    f = np.zeros(n)
-    f[0::2] = 10.0 * (x[1::2] - x[0::2] ** 2)
-    f[1::2] = 1.0 - x[0::2]
+    f = np.zeros(x.shape)
+    f[..., 0::2] = 10.0 * (x[..., 1::2] - x[..., 0::2] ** 2)
+    f[..., 1::2] = 1.0 - x[..., 0::2]
     return f
 
 
@@ -56,12 +67,13 @@ def rosenbrock_jacobian(x):
 
 
 def powell_singular_residual(x):
+    x0, x1, x2, x3 = x.T  # scalars of one point, or columns of a (p, n) array
     return np.array([
-        x[0] + 10.0 * x[1],
-        np.sqrt(5.0) * (x[2] - x[3]),
-        (x[1] - 2.0 * x[2]) ** 2,
-        np.sqrt(10.0) * (x[0] - x[3]) ** 2,
-    ])
+        x0 + 10.0 * x1,
+        np.sqrt(5.0) * (x2 - x3),
+        _pow(x1 - 2.0 * x2, 2),
+        np.sqrt(10.0) * _pow(x0 - x3, 2),
+    ]).T
 
 
 def powell_singular_jacobian(x):
@@ -74,11 +86,12 @@ def powell_singular_jacobian(x):
 
 
 def beale_residual(x):
+    x0, x1 = x.T
     return np.array([
-        1.5 - x[0] * (1.0 - x[1]),
-        2.25 - x[0] * (1.0 - x[1] ** 2),
-        2.625 - x[0] * (1.0 - x[1] ** 3),
-    ])
+        1.5 - x0 * (1.0 - x1),
+        2.25 - x0 * (1.0 - _pow(x1, 2)),
+        2.625 - x0 * (1.0 - _pow(x1, 3)),
+    ]).T
 
 
 def beale_jacobian(x):
@@ -90,10 +103,11 @@ def beale_jacobian(x):
 
 
 def freudenstein_roth_residual(x):
+    x0, x1 = x.T
     return np.array([
-        -13.0 + x[0] + ((5.0 - x[1]) * x[1] - 2.0) * x[1],
-        -29.0 + x[0] + ((1.0 + x[1]) * x[1] - 14.0) * x[1],
-    ])
+        -13.0 + x0 + ((5.0 - x1) * x1 - 2.0) * x1,
+        -29.0 + x0 + ((1.0 + x1) * x1 - 14.0) * x1,
+    ]).T
 
 
 def freudenstein_roth_jacobian(x):
@@ -104,10 +118,10 @@ def freudenstein_roth_jacobian(x):
 
 
 def linear_full_rank_residual(x, dim_out):
-    temp = 2.0 * x.sum() / dim_out + 1.0
-    out = np.full(dim_out, -temp)
-    out[: len(x)] += x
-    return out
+    temp = 2.0 * x.sum(axis=-1) / dim_out + 1.0  # a scalar, or one per point
+    out = np.full((dim_out,) + np.shape(temp), -temp)
+    out[: x.shape[-1]] += x.T
+    return out.T
 
 
 def linear_full_rank_jacobian(x, dim_out):

@@ -81,12 +81,12 @@ def _budget_left(problem, budget: Optional[int]) -> Optional[int]:
 class _PersistentSet:
     """Interpolation set with running value averages and furthest-point
     eviction (ties broken by lowest index; the current center is never
-    evicted)."""
+    evicted). Row i of ``points`` goes with ``means[i]`` and ``counts[i]``."""
 
     def __init__(self, points: np.ndarray):
-        self.points = [np.array(p, dtype=float) for p in points]
-        self.means = [0.0] * len(self.points)
-        self.counts = [0] * len(self.points)
+        self.points = np.array(points, dtype=float)  # (p, n)
+        self.means = np.zeros(len(self.points))
+        self.counts = np.zeros(len(self.points), dtype=int)
         self.center_index = 0
         self.eviction_audit = []  # (evicted_point, distances, new_center)
 
@@ -94,37 +94,47 @@ class _PersistentSet:
         return len(self.points)
 
     def array(self) -> np.ndarray:
-        return np.vstack(self.points)
+        return self.points
+
+    def distances(self, x: np.ndarray) -> np.ndarray:
+        """Distance of every point to ``x``, bit-identical to ``np.linalg.norm``
+        of each row's difference (the row-wise dot that the norm takes)."""
+        D = self.points - x
+        return np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+
+    @staticmethod
+    def _first_within(dists: np.ndarray, x: np.ndarray) -> Optional[int]:
+        tol = _DEDUPE_REL_TOL * max(1.0, float(np.linalg.norm(x)))
+        hits = np.flatnonzero(dists <= tol)
+        return int(hits[0]) if hits.size else None
 
     def find(self, x: np.ndarray) -> Optional[int]:
-        tol = _DEDUPE_REL_TOL * max(1.0, float(np.linalg.norm(x)))
-        for i, p in enumerate(self.points):
-            if np.linalg.norm(p - x) <= tol:
-                return i
-        return None
+        """Index of the first point within the dedupe tolerance of ``x``."""
+        return self._first_within(self.distances(x), x)
 
     def augment_and_evict(self, trial: np.ndarray, mean: float, count: int,
                           new_center: np.ndarray, p_max: int):
         j = self.find(trial)
         if j is None:
-            self.points.append(np.array(trial, dtype=float))
-            self.means.append(mean)
-            self.counts.append(count)
+            self.points = np.vstack([self.points, trial])
+            self.means = np.append(self.means, mean)
+            self.counts = np.append(self.counts, count)
         elif count > 0:
             total = self.counts[j] + count
             self.means[j] = (self.counts[j] * self.means[j] + count * mean) / total
             self.counts[j] = total
-        ci = self.find(new_center)
+        dists = self.distances(new_center)
+        ci = self._first_within(dists, new_center)
         if ci is not None:
             self.center_index = ci
         if len(self.points) > p_max:
-            dists = np.array([np.linalg.norm(p - new_center) for p in self.points])
             dists[self.center_index] = -np.inf
             evict = int(np.argmax(dists))  # argmax takes the lowest index on ties
-            self.eviction_audit.append((self.points[evict].copy(), dists.copy(),
+            self.eviction_audit.append((self.points[evict].copy(), dists,
                                         np.array(new_center, dtype=float)))
-            for lst in (self.points, self.means, self.counts):
-                del lst[evict]
+            self.points = np.delete(self.points, evict, axis=0)
+            self.means = np.delete(self.means, evict)
+            self.counts = np.delete(self.counts, evict)
             if evict < self.center_index:
                 self.center_index -= 1
 
@@ -186,7 +196,7 @@ class TrSaaComponents:
                                                        self._p_k, rng)
                 self.pset.counts[i] = self._p_k
             else:
-                have = self.pset.counts[i]
+                have = int(self.pset.counts[i])
                 if have < self._p_k:
                     extra = self._p_k - have
                     fresh = averaged_estimate(problem, self.pset.points[i], extra, rng)
@@ -196,7 +206,7 @@ class TrSaaComponents:
         return _fit_persistent(self.pset, state.x, state.delta, self.pset.means)
 
     def estimate(self, problem, state, model, step, rng):
-        f0 = self.pset.means[self.pset.center_index]
+        f0 = float(self.pset.means[self.pset.center_index])
         fs = averaged_estimate(problem, state.x + step.step, self._p_k, rng)
         return EstimatePair(f0=f0, fs=fs, samples_used=self._p_k)
 
@@ -252,7 +262,7 @@ class StormFailureComponents:
             pts = _initial_frame(state.x, state.delta, p0, rng)
             self.pset = _PersistentSet(pts)
         _tag(self.trace, "values-afresh")
-        values = np.array([problem.noisy_eval(p, rng) for p in self.pset.points])
+        values = problem.noisy_eval_batch(self.pset.array(), rng)
         _tag(self.trace, "model")
         return _fit_persistent(self.pset, state.x, state.delta, values)
 

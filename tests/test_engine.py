@@ -127,10 +127,11 @@ def test_update_coupling_invariant():
             np.testing.assert_array_equal(ev.x_before, ev.x_after)
 
 
-def test_geometry_failure_flagged_and_shrinks():
+@pytest.mark.parametrize("error", [GeometryError, np.linalg.LinAlgError])
+def test_geometry_failure_flagged_and_shrinks(error):
     class FailingBuilder:
         def build(self, problem, state, rng):
-            raise GeometryError("forced")
+            raise error("forced")
 
     problem = norm_problem(2)
     cfg = TrustRegionConfig(delta0=1.0, budget=10, seed=0)

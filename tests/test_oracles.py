@@ -5,7 +5,7 @@ from stormopt.oracles import (NoiseSpec, StochasticProblem, averaged_estimate,
                               chebyshev_gradient_sample_size, chebyshev_sample_size,
                               eval_additive, eval_failure, eval_multiplicative,
                               per_s_to_sigma)
-from stormopt.problems import get_problem
+from stormopt.problems import builtin_suite, get_problem
 
 
 def one_component(x):
@@ -211,6 +211,54 @@ def test_averaged_estimate_matches_scalar_loop_bit_for_bit(residual, noise, p):
                                                          NOISES[noise], x, ref_rng)
     assert prob.eval_count == p + 1
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _mixed_points(spec, rows_per_kind=6, seed=0):
+    """Points near the minimizer, where components are small and can fail,
+    interleaved with points near x0, where most cannot."""
+    rng = np.random.default_rng(seed)
+    near = spec.minimizer + 1e-3 * rng.standard_normal((rows_per_kind, spec.n))
+    far = spec.x0 + 0.1 * rng.standard_normal((rows_per_kind, spec.n))
+    return np.stack([near, far], axis=1).reshape(-1, spec.n)
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=str)
+@pytest.mark.parametrize("spec", builtin_suite(), ids=lambda s: s.name)
+def test_noisy_eval_batch_matches_scalar_loop_bit_for_bit(spec, noise):
+    X = _mixed_points(spec)
+    eps = NOISES[noise].epsilon
+    can_fail = (np.abs(spec.residual(X)) < eps).any(axis=1)
+    assert can_fail.any() and not can_fail.all()
+    prob, ref = spec.instantiate(NOISES[noise]), spec.instantiate(NOISES[noise])
+    rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
+    scalar_rng = np.random.default_rng(19)
+    got = prob.noisy_eval_batch(X, rng)
+    want = np.array([ref.noisy_eval(x, ref_rng) for x in X])
+    scalar = np.array([_scalar_noisy_eval(spec.residual, NOISES[noise], x, scalar_rng)
+                       for x in X])
+    assert got.shape == (len(X),)
+    assert np.array_equal(got, want) and np.array_equal(got, scalar)
+    assert prob.eval_count == ref.eval_count == len(X)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("residual", [
+    lambda x: np.array([1.0, 2.0]),  # ignores the batch
+    lambda x: (x - 1.0).T,           # (m, p) instead of (p, m)
+    lambda x: np.zeros((2, 3, 2)),
+], ids=["1-d", "transposed", "3-d"])
+def test_noisy_eval_batch_rejects_wrong_residual_shape(residual):
+    prob = StochasticProblem("t", 2, residual, np.zeros(2))
+    with pytest.raises(ValueError):
+        prob.noisy_eval_batch(np.zeros((3, 2)), np.random.default_rng(0))
+    assert prob.eval_count == 0
+
+
+def test_noisy_eval_batch_needs_a_2d_array():
+    prob = get_problem("simple-quad-2").instantiate()
+    with pytest.raises(ValueError):
+        prob.noisy_eval_batch(np.zeros(2), np.random.default_rng(0))
 
 
 def test_noisy_evals_counts_and_shape():

@@ -66,6 +66,37 @@ def test_component_counts():
         assert np.asarray(J).shape == (spec.m, spec.n), spec.name
 
 
+def test_residuals_work_over_the_last_axis():
+    rng = np.random.default_rng(1)
+    for spec in builtin_suite():
+        X = spec.x0 + rng.standard_normal((40, spec.n)) * 10.0 ** rng.uniform(-3, 1, (40, 1))
+        F = spec.residual(X)
+        assert F.shape == (40, spec.m), spec.name
+        for x, row in zip(X, F):
+            assert np.array_equal(row, spec.residual(x)), spec.name
+
+
+def test_powers_match_the_scalar_form():
+    # the residuals written with Python-float arithmetic, whose ** is the C pow
+    def beale(x):
+        x0, x1 = map(float, x)
+        return [1.5 - x0 * (1.0 - x1), 2.25 - x0 * (1.0 - x1 ** 2),
+                2.625 - x0 * (1.0 - x1 ** 3)]
+
+    def powell(x):
+        x0, x1, x2, x3 = map(float, x)
+        return [x0 + 10.0 * x1, np.sqrt(5.0) * (x2 - x3), (x1 - 2.0 * x2) ** 2,
+                np.sqrt(10.0) * (x0 - x3) ** 2]
+
+    rng = np.random.default_rng(2)
+    for name, scalar in (("beale-2", beale), ("powell-4", powell)):
+        spec = get_problem(name)
+        X = spec.x0 + 3.0 * rng.standard_normal((2000, spec.n))
+        F = spec.residual(X)
+        for x, row in zip(X, F):
+            assert row.tolist() == scalar(x), name
+
+
 def test_f_star_below_start():
     for spec in builtin_suite():
         prob = spec.instantiate()

@@ -4,11 +4,11 @@ import pytest
 from stormopt.engine import StoppingRule, TrustRegionConfig, run
 from stormopt.logistic import Dataset, LogisticProblem, make_synthetic
 from stormopt.models import QuadraticModel
-from stormopt.oracles import NoiseSpec
+from stormopt.oracles import NoiseSpec, per_s_to_sigma
 from stormopt.problems import get_problem
 from stormopt.subproblem import dogleg
 from stormopt.variants import (REGISTRY, StormLogisticComponents, VariantConfig,
-                               _rate_linear, run_adagrad, run_storm_failure,
+                               _initial_frame, _PersistentSet, _rate_linear, run_adagrad, run_storm_failure,
                                run_storm_logistic, run_storm_unbiased, run_tr_saa)
 
 
@@ -174,6 +174,35 @@ def test_eviction_never_removes_center():
         assert np.linalg.norm(evicted - c) > 0  # never the center itself
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+@pytest.mark.parametrize("seed", range(10))
+def test_near_tie_eviction_matches_per_row_norm(n, seed):
+    # every point of a +-frame-plus-midpoints set lies at distance delta
+    # from the center in exact arithmetic, so the evicted index is decided
+    # by the last bits of the computed distances
+    rng = np.random.default_rng(seed)
+    center = rng.standard_normal(n)
+    delta = 10.0 ** rng.uniform(-6, 1)
+    pts = _initial_frame(center, delta, (n + 1) * (n + 2) // 2, rng)
+    pset = _PersistentSet(pts)
+    trial = center + 0.5 * delta * rng.standard_normal(n) / np.sqrt(n)
+    pset.augment_and_evict(trial, 0.0, 0, center, p_max=len(pts))
+    want = np.array([np.linalg.norm(p - center) for p in np.vstack([pts, trial])])
+    want[0] = -np.inf  # the center
+    evicted, dists, _ = pset.eviction_audit[-1]
+    assert np.array_equal(dists, want)
+    assert np.array_equal(evicted, np.vstack([pts, trial])[np.argmax(want)])
+    assert len(pset) == len(pts) and pset.center_index == 0
+
+
+def test_persistent_set_find_returns_first_match():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    pset = _PersistentSet(pts)
+    assert pset.find(np.array([1.0, 1e-15])) == 1
+    assert pset.find(np.array([0.5, 0.5])) is None
+    assert pset.array() is pset.points
+
+
 # ---------------------------------------------------------- budget compliance
 
 @pytest.mark.parametrize("runner", [
@@ -198,6 +227,25 @@ def test_registry_entry_stops_at_a_reachable_target(name):
                          StoppingRule(budget=budget, target_f=1e-2))
     assert rec.stop_reason == "target"
     assert rec.f_final_true < 1e-2
+
+
+@pytest.mark.parametrize("p_s, seed", [(0.1, 70038), (0.5, 100093)])
+def test_storm_failure_survives_a_failed_least_squares_solve(p_s, seed):
+    # seeded sweep runs whose degenerate set once made lstsq raise
+    # LinAlgError out of the run; that iteration is now flagged "geometry"
+    spec = get_problem("simple-quad-10")
+    noise = NoiseSpec(kind="failure", sigma=per_s_to_sigma(p_s, spec.m),
+                      epsilon=0.1, garbage_value=-10000.0)
+    cfg = TrustRegionConfig(budget=10_000, seed=seed)
+    rec = run_storm_failure(spec.instantiate(noise), cfg,
+                            stop=StoppingRule(budget=10_000, target_f=1e-5))
+    assert rec.stop_reason in ("delta-floor", "target", "budget")
+    assert np.isfinite(rec.f_final_true)
+    assert sum(ev.evals_used_this_iter for ev in rec.events) == rec.eval_total
+    assert any(ev.flag == "geometry" for ev in rec.events)
+    for ev in rec.events:
+        grow = min(cfg.gamma * ev.delta_before, cfg.delta_max)
+        assert ev.delta_after == (grow if ev.success else ev.delta_before / cfg.gamma)
 
 
 # ----------------------------------------------------- deterministic limits
