@@ -1,6 +1,10 @@
 """Hot numeric kernels: the quadratic basis matrix and the logistic loss,
 gradient and Hessian sums, all vectorized numpy.
 
+``logistic_loss`` is the loss-only sum, for callers that need no gradient
+(full-data losses and the estimates); it equals ``logistic_sums(...)[0]``
+bit for bit at about half the cost on large inputs.
+
 ``BACKEND`` names the kernel path; there is only the numpy one.
 """
 
@@ -46,6 +50,13 @@ def logistic_sums(X, y, w, beta):
     loss = np.where(t > 0, np.log1p(np.exp(-np.abs(t))), -t + np.log1p(np.exp(-np.abs(t))))
     coef = -y * (1.0 - _sigmoid_of_margin(t))  # d loss_i / d margin
     return loss.sum(), np.concatenate([X.T @ coef, [coef.sum()]])
+
+
+def logistic_loss(X, y, w, beta):
+    """Summed loss log(1+exp(-y(Xw+beta))) alone. Each element adds the same
+    two terms as ``logistic_sums``, and x + 0.0 == x where t > 0."""
+    t = y * (X @ w + float(beta))
+    return (np.log1p(np.exp(-np.abs(t))) + np.where(t > 0, 0.0, -t)).sum()
 
 
 def logistic_hess(X, y, w, beta):

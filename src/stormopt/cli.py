@@ -26,7 +26,8 @@ from .profiles import (ProfileTable, build_profiles, check_tau, profile_fraction
                        solve_threshold)
 from .theory import (check_probabilities, compute_theory_constants,
                      failure_alpha_beta, min_success_probability)
-from .variants import REGISTRY, run_adagrad, run_storm_failure, run_storm_logistic
+from .variants import (REGISTRY, check_adagrad_settings, run_adagrad, run_storm_failure,
+                       run_storm_logistic)
 
 
 def _default_seed() -> int:
@@ -326,6 +327,8 @@ def cmd_theory(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.baseline == "adagrad":
+        check_adagrad_settings(args.step0, args.batch)
     if args.data == "synthetic":
         ds = make_synthetic(args.n_samples, args.n_features, seed=args.data_seed,
                             margin_noise=args.margin_noise)
@@ -342,17 +345,19 @@ def cmd_train(args) -> int:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["solver", "evals", "train_loss", "test_loss"])
     running = 0
+    x_last = test_loss = None
     for ev in record.events:
         running += ev.evals_used_this_iter
-        w.writerow([record.variant, running, repr(ev.true_f_after),
-                    repr(test_problem.true_f(ev.x_after))])
+        if x_last is None or not np.array_equal(ev.x_after, x_last):  # rejected steps stay put
+            x_last, test_loss = ev.x_after, test_problem.true_f(ev.x_after)
+        w.writerow([record.variant, running, repr(ev.true_f_after), repr(test_loss)])
     print(f"storm_final_train_loss={record.f_final_true!r}")
     if args.baseline == "adagrad":
         base = run_adagrad(train, step0=args.step0, batch=args.batch,
                            budget=budget, lam=args.lam, seed=args.seed)
-        for evals, x in base.x_checkpoints:
-            w.writerow([base.variant, evals,
-                        repr(problem.true_f(x)), repr(test_problem.true_f(x))])
+        # loss_trace holds the training loss at each checkpoint, in the same order
+        for (evals, train_loss), (_, x) in zip(base.loss_trace, base.x_checkpoints):
+            w.writerow([base.variant, evals, repr(train_loss), repr(test_problem.true_f(x))])
         print(f"adagrad_final_train_loss={base.f_final_true!r}")
     _write_output(buf.getvalue(), args.out)
     return 0

@@ -7,6 +7,7 @@ regularizer lam*||w||^2 does not touch the bias term beta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -59,6 +60,8 @@ def load_libsvm(path: str, name: Optional[str] = None) -> Dataset:
                 label = float(parts[0])
             except ValueError as exc:
                 raise LibsvmParseError(f"line {lineno}: bad label {parts[0]!r}") from exc
+            if not math.isfinite(label):
+                raise LibsvmParseError(f"line {lineno}: non-finite label {parts[0]!r}")
             entries = {}
             for tok in parts[1:]:
                 try:
@@ -69,6 +72,10 @@ def load_libsvm(path: str, name: Optional[str] = None) -> Dataset:
                     raise LibsvmParseError(f"line {lineno}: bad feature {tok!r}") from exc
                 if idx < 1:
                     raise LibsvmParseError(f"line {lineno}: index {idx} is not 1-based")
+                if not math.isfinite(val):
+                    raise LibsvmParseError(f"line {lineno}: non-finite value {tok!r}")
+                if idx in entries:
+                    raise LibsvmParseError(f"line {lineno}: index {idx} repeated")
                 entries[idx] = val
                 max_idx = max(max_idx, idx)
             labels.append(label)
@@ -97,6 +104,8 @@ def train_test_split(ds: Dataset, test_fraction: float = 0.05,
 def make_synthetic(n_samples: int = 2000, n_features: int = 10, seed: int = 0,
                    margin_noise: float = 0.3) -> Dataset:
     """Linearly separable two-class data with label noise near the margin."""
+    if not math.isfinite(margin_noise):
+        raise ValueError(f"margin_noise must be finite, got {margin_noise!r}")
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(n_features)
     w_true /= np.linalg.norm(w_true)
@@ -105,6 +114,12 @@ def make_synthetic(n_samples: int = 2000, n_features: int = 10, seed: int = 0,
     y = np.sign(margin + margin_noise * rng.standard_normal(n_samples))
     y[y == 0] = 1.0
     return Dataset(X, y, name="synthetic")
+
+
+def logistic_value(X: np.ndarray, y: np.ndarray, w: np.ndarray, beta: float,
+                   lam: float) -> float:
+    """The loss of ``logistic_value_grad`` alone, as a Python float."""
+    return float(_kernels.logistic_loss(X, y, w, beta) / X.shape[0] + lam * float(w @ w))
 
 
 def logistic_value_grad(X: np.ndarray, y: np.ndarray, w: np.ndarray, beta: float,
@@ -134,11 +149,8 @@ def subsample_logistic_oracle(dataset: Dataset, index_sample: Sequence[int],
                      else index_sample, dtype=int)
     if idx.size == 0:
         raise ValueError("empty index sample")
-    X, y = dataset.features[idx], dataset.labels[idx]
-    w = np.asarray(w, dtype=float)
-    loss, grad = logistic_value_grad(X, y, w, float(beta), lam)
-    hess = logistic_hessian(X, y, w, float(beta), lam)
-    return loss, grad, hess
+    x = np.append(np.asarray(w, dtype=float), float(beta))
+    return LogisticProblem(dataset, lam=lam).sampled_loss_grad_hess(idx, x, want_hessian=True)
 
 
 class LogisticProblem:
@@ -146,6 +158,8 @@ class LogisticProblem:
     per data point touched by any subsampled computation."""
 
     def __init__(self, train: Dataset, lam: float = 1e-4, name: Optional[str] = None):
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
         self.train = train
         self.lam = float(lam)
         self.name = name or train.name
@@ -160,8 +174,7 @@ class LogisticProblem:
 
     def true_f(self, x) -> float:
         w, beta = self._split(x)
-        loss, _ = logistic_value_grad(self.train.features, self.train.labels, w, beta, self.lam)
-        return loss
+        return logistic_value(self.train.features, self.train.labels, w, beta, self.lam)
 
     def true_grad(self, x) -> np.ndarray:
         w, beta = self._split(x)
@@ -179,9 +192,8 @@ class LogisticProblem:
 
     def sampled_loss(self, idx: np.ndarray, x) -> float:
         w, beta = self._split(x)
-        loss, _ = logistic_value_grad(self.train.features[idx], self.train.labels[idx],
-                                      w, beta, self.lam)
-        return loss
+        return logistic_value(self.train.features[idx], self.train.labels[idx],
+                              w, beta, self.lam)
 
     def sampled_loss_grad_hess(self, idx: np.ndarray, x, want_hessian: bool):
         w, beta = self._split(x)

@@ -371,6 +371,15 @@ REGISTRY = {
 }
 
 
+def check_adagrad_settings(step0: float, batch: int) -> None:
+    """Raise ValueError unless step0 is finite and positive and batch >= 1
+    (a batch of 0 draws no data, so the budget would never be reached)."""
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch!r}")
+    if not (math.isfinite(step0) and step0 > 0):
+        raise ValueError(f"step0 must be finite and > 0, got {step0!r}")
+
+
 def run_adagrad(dataset: Dataset, step0: float = 1.0, batch: int = 10,
                 budget: Optional[int] = None, rng=None, *, lam: float = 1e-4,
                 seed: int = 0, record_every: Optional[int] = None) -> RunRecord:
@@ -380,6 +389,7 @@ def run_adagrad(dataset: Dataset, step0: float = 1.0, batch: int = 10,
     step0 * g / (sqrt(acc) + 1e-8). True loss is recorded at evenly spaced
     evaluation counts.
     """
+    check_adagrad_settings(step0, batch)
     if rng is None:
         rng = np.random.default_rng(seed)
     problem = LogisticProblem(dataset, lam=lam)
@@ -404,8 +414,12 @@ def run_adagrad(dataset: Dataset, step0: float = 1.0, batch: int = 10,
             record.x_checkpoints.append((problem.eval_count, x.copy()))
             next_record += record_every
     record.x_final = x
-    record.f_final_true = problem.true_f(x)
-    if record.loss_trace[-1][0] != problem.eval_count:
+    # every step draws at least one sample, so a checkpoint at the final
+    # count was taken at this x
+    if record.loss_trace[-1][0] == problem.eval_count:
+        record.f_final_true = record.loss_trace[-1][1]
+    else:
+        record.f_final_true = problem.true_f(x)
         record.loss_trace.append((problem.eval_count, record.f_final_true))
         record.x_checkpoints.append((problem.eval_count, x.copy()))
     record.eval_total = problem.eval_count

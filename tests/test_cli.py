@@ -5,6 +5,8 @@ import pytest
 
 from stormopt import variants
 from stormopt.cli import cli_main, run_profile_cells
+from stormopt.engine import TrustRegionConfig
+from stormopt.logistic import LogisticProblem, make_synthetic, train_test_split
 from stormopt.problems import get_problem
 from stormopt.profiles import ProfileTable, solve_threshold
 
@@ -196,6 +198,44 @@ def test_train_synthetic_runs_and_reports(tmp_path, capsys):
     assert rows[0] == ["solver", "evals", "train_loss", "test_loss"]
     solvers = {r[0] for r in rows[1:]}
     assert "adagrad" in solvers and "storm-logistic" in solvers
+    for row in rows[1:]:
+        float(row[2]), float(row[3])
+    for line in out.splitlines():
+        float(line.split("=", 1)[1])
+
+
+def test_train_losses_equal_fresh_full_data_passes(tmp_path, capsys):
+    out_file = tmp_path / "train.csv"
+    code, out, _ = run_cli(capsys, "train", "--n-samples", "400", "--n-features", "3",
+                           "--lambda", "1e-3", "--seed", "5", "--out", str(out_file))
+    assert code == 0
+    train, test = train_test_split(make_synthetic(400, 3, seed=7, margin_noise=0.3), 0.05, seed=0)
+    problem, test_problem = LogisticProblem(train, lam=1e-3), LogisticProblem(test, lam=1e-3)
+    storm = variants.run_storm_logistic(problem, TrustRegionConfig(budget=train.n_samples, seed=5))
+    base = variants.run_adagrad(train, budget=train.n_samples, lam=1e-3, seed=5)
+    want = [[storm.variant, str(sum(e.evals_used_this_iter for e in storm.events[:k + 1])),
+             repr(problem.true_f(ev.x_after)), repr(test_problem.true_f(ev.x_after))]
+            for k, ev in enumerate(storm.events)]
+    want += [[base.variant, str(evals), repr(problem.true_f(x)), repr(test_problem.true_f(x))]
+             for evals, x in base.x_checkpoints]
+    assert any(not ev.success for ev in storm.events)
+    assert list(csv.reader(io.StringIO(out_file.read_text())))[1:] == want
+    assert out == (f"storm_final_train_loss={problem.true_f(storm.x_final)!r}\n"
+                   f"adagrad_final_train_loss={problem.true_f(base.x_final)!r}\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--batch", "0"), ("--batch", "-1"), ("--step0", "nan"), ("--step0", "0"),
+    ("--lambda", "-1"), ("--lambda", "nan"), ("--margin-noise", "nan"),
+])
+def test_bad_train_settings_are_usage_errors(monkeypatch, capsys, flags):
+    def refuse(self, p, rng):
+        raise AssertionError("training started")  # batch 0 would never end
+    monkeypatch.setattr(LogisticProblem, "draw_sample", refuse)
+    code, out, err = run_cli(capsys, "train", "--n-samples", "100", "--n-features", "2", *flags)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
 
 
 def test_train_parses_libsvm_file(tmp_path, capsys):

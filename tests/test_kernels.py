@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from stormopt import _kernels
-from stormopt._kernels import logistic_hess, logistic_sums, quad_basis, quad_basis_size
+from stormopt._kernels import (logistic_hess, logistic_loss, logistic_sums, quad_basis,
+                               quad_basis_size)
 
 
 def test_quad_basis_size():
@@ -63,6 +65,34 @@ def test_logistic_kernels_stable_for_large_margins():
     assert abs(loss - 100.0) < 1e-6
     H = logistic_hess(X, y, w, 0.0)
     assert np.all(np.isfinite(H))
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("X, y, w, beta", [
+    (np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]), np.array([0.5, -2.0]), 0.0),  # t == +-0
+    (np.array([[1.0], [2.0]]), np.array([-1.0, -1.0]), np.array([0.0]), 0.0),  # t == -0.0
+    (np.array([[0.0]]), np.array([-1.0]), np.array([1.0]), 0.0),
+    (np.array([[800.0], [-800.0], [710.0], [-745.5]]), np.ones(4), np.array([1.0]), 0.0),
+    (np.array([[1.0], [1.0]]), np.array([1.0, -1.0]), np.array([1e3]), -300.0),
+])
+def test_logistic_loss_matches_sums_at_zero_and_huge_margins(X, y, w, beta):
+    got = logistic_loss(X, y, w, beta)
+    assert _same_bits(got, logistic_sums(X, y, w, beta)[0])
+    t = y * (X @ w + beta)
+    assert got == pytest.approx(np.logaddexp(0.0, -t).sum(), rel=1e-15)
+
+
+def test_logistic_loss_matches_sums_on_random_data():
+    rng = np.random.default_rng(4)
+    for N, m in ((1, 1), (10, 3), (2000, 10), (500, 50)):
+        X = rng.standard_normal((N, m))
+        y = np.where(rng.uniform(size=N) < 0.5, -1.0, 1.0)
+        for scale in (0.0, 0.1, 1.0, 30.0):
+            w, beta = scale * rng.standard_normal(m), scale * rng.standard_normal()
+            assert _same_bits(logistic_loss(X, y, w, beta), logistic_sums(X, y, w, beta)[0])
 
 
 def test_backend_reports_a_valid_choice():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stormopt.logistic import (Dataset, LibsvmParseError, LogisticProblem,
-                               load_libsvm, make_synthetic,
-                               subsample_logistic_oracle, train_test_split)
+                               load_libsvm, logistic_hessian, logistic_value_grad,
+                               make_synthetic, subsample_logistic_oracle, train_test_split)
 
 
 def toy_dataset():
@@ -42,6 +42,29 @@ def test_libsvm_zero_based_index_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("+1 0:0.5\n")
     with pytest.raises(LibsvmParseError, match="line 1"):
+        load_libsvm(str(path))
+
+
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+def test_libsvm_non_finite_label_reports_line(tmp_path, label):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"+1 1:0.5\n-1 1:1.0\n{label} 1:2.0\n")
+    with pytest.raises(LibsvmParseError, match="line 3: non-finite label"):
+        load_libsvm(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_libsvm_non_finite_feature_reports_line(tmp_path, value):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"+1 1:0.5\n-1 1:1.0 2:{value}\n")
+    with pytest.raises(LibsvmParseError, match="line 2: non-finite value"):
+        load_libsvm(str(path))
+
+
+def test_libsvm_repeated_index_reports_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("+1 1:0.5 2:1.0\n-1 2:1.5 1:1.0 2:3.0\n")
+    with pytest.raises(LibsvmParseError, match="line 2: index 2 repeated"):
         load_libsvm(str(path))
 
 
@@ -137,6 +160,44 @@ def test_stable_for_huge_margins():
     loss, grad, hess = subsample_logistic_oracle(ds, [0], np.array([1.0]), 0.0, 0.0)
     assert np.isfinite(loss) and loss == pytest.approx(np.exp(-40.0), abs=1e-20)
     assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+
+
+def test_oracle_matches_direct_value_grad_and_hessian():
+    rng = np.random.default_rng(6)
+    ds = Dataset(rng.standard_normal((30, 4)), np.where(rng.uniform(size=30) < 0.5, -1.0, 1.0))
+    w, beta, lam = rng.standard_normal(4), -0.7, 1e-2
+    for sample in ([3, 1, 4, 1, 5], {7, 2, 19}, np.arange(30)):
+        idx = np.asarray(sorted(sample) if isinstance(sample, set) else sample)
+        X, y = ds.features[idx], ds.labels[idx]
+        loss, grad = logistic_value_grad(X, y, w, beta, lam)
+        got = subsample_logistic_oracle(ds, sample, w, beta, lam)
+        assert got[0] == loss
+        assert np.array_equal(got[1], grad)
+        assert np.array_equal(got[2], logistic_hessian(X, y, w, beta, lam))
+
+
+def test_problem_losses_are_floats_equal_to_the_gradient_path():
+    rng = np.random.default_rng(2)
+    ds = make_synthetic(400, 5, seed=3)
+    prob = LogisticProblem(ds, lam=1e-3)
+    idx = prob.draw_sample(50, rng)
+    for x in (prob.x0, rng.standard_normal(6), 40.0 * rng.standard_normal(6)):
+        full, sampled = prob.true_f(x), prob.sampled_loss(idx, x)
+        assert type(full) is float and type(sampled) is float
+        assert full == logistic_value_grad(ds.features, ds.labels, x[:-1], x[-1], 1e-3)[0]
+        assert sampled == prob.sampled_loss_grad_hess(idx, x, want_hessian=False)[0]
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_problem_rejects_bad_regularization(lam):
+    with pytest.raises(ValueError, match="lam"):
+        LogisticProblem(toy_dataset(), lam=lam)
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+def test_synthetic_rejects_non_finite_margin_noise(noise):
+    with pytest.raises(ValueError, match="margin_noise"):
+        make_synthetic(50, 2, seed=0, margin_noise=noise)
 
 
 def test_problem_eval_counting():

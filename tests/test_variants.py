@@ -367,6 +367,40 @@ def test_adagrad_records_evenly_spaced_losses():
     assert all(b > a for a, b in zip(evals, evals[1:]))
 
 
+def _no_sampling(monkeypatch):
+    def refuse(self, p, rng):
+        raise AssertionError("the training loop drew a sample")
+    monkeypatch.setattr(LogisticProblem, "draw_sample", refuse)
+
+
+@pytest.mark.parametrize("step0, batch", [
+    (1.0, 0), (1.0, -2), (float("nan"), 10), (float("inf"), 10), (0.0, 10), (-1.0, 10),
+])
+def test_adagrad_rejects_bad_settings_before_the_loop(monkeypatch, step0, batch):
+    _no_sampling(monkeypatch)  # batch 0 would otherwise loop forever
+    with pytest.raises(ValueError, match="step0" if batch >= 1 else "batch"):
+        run_adagrad(make_synthetic(50, 2, seed=0), step0=step0, batch=batch, budget=50)
+
+
+@pytest.mark.parametrize("budget, record_every", [(200, None), (207, None), (200, 70)])
+def test_adagrad_evaluates_each_checkpoint_once(monkeypatch, budget, record_every):
+    ds = make_synthetic(200, 2, seed=9)
+    calls = []
+    true_f = LogisticProblem.true_f
+
+    def counted(self, x):
+        calls.append(1)
+        return true_f(self, x)
+    monkeypatch.setattr(LogisticProblem, "true_f", counted)
+    rec = run_adagrad(ds, step0=1.0, batch=10, budget=budget, lam=1e-4, seed=0,
+                      record_every=record_every)
+    assert len(calls) == len(rec.loss_trace) == len(rec.x_checkpoints)
+    assert rec.loss_trace[-1] == (rec.eval_total, rec.f_final_true)
+    assert rec.f_final_true == true_f(LogisticProblem(ds, lam=1e-4), rec.x_final)
+    for (evals, loss), (evals_x, x) in zip(rec.loss_trace, rec.x_checkpoints):
+        assert evals == evals_x and loss == true_f(LogisticProblem(ds, lam=1e-4), x)
+
+
 # ------------------------------------------------------------- solved checks
 
 def test_storm_unbiased_solves_noiseless_quadratic_fast():
