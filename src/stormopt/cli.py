@@ -82,10 +82,10 @@ def _noise_from_args(args, m: int) -> NoiseSpec:
     return NoiseSpec(kind=kind, sigma=sigma)
 
 
-def _tr_config(args, budget: int) -> TrustRegionConfig:
+def _tr_config(args, budget: int, seed_offset: int = 0) -> TrustRegionConfig:
     return TrustRegionConfig(delta0=args.delta0, delta_max=args.delta_max,
                              gamma=args.gamma, eta1=args.eta1, eta2=args.eta2,
-                             budget=budget, seed=args.seed)
+                             budget=budget, seed=args.seed + seed_offset)
 
 
 def _add_common_tr_flags(p: argparse.ArgumentParser) -> None:
@@ -187,11 +187,8 @@ def cmd_sweep(args) -> int:
             noise = NoiseSpec(kind="failure", sigma=per_s_to_sigma(ps, spec.m),
                               epsilon=args.epsilon, garbage_value=args.garbage)
             problem = spec.instantiate(noise)
-            cfg = TrustRegionConfig(delta0=args.delta0, delta_max=args.delta_max,
-                                    gamma=args.gamma, eta1=args.eta1, eta2=args.eta2,
-                                    budget=budget, seed=args.seed + seed)
             stop = StoppingRule(budget=budget, target_f=args.ftol)
-            record = run_storm_failure(problem, cfg, stop=stop)
+            record = run_storm_failure(problem, _tr_config(args, budget, seed), stop=stop)
             evals = record.evals_to_reach(args.ftol, budget)
             if evals is not None:
                 solved += 1

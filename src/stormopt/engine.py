@@ -21,6 +21,7 @@ continues).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -45,11 +46,11 @@ class TrustRegionConfig:
     def __post_init__(self):
         if not 0 < self.delta0 <= self.delta_max:
             raise ValueError("need 0 < delta0 <= delta_max")
-        if self.gamma <= 1:
+        if not (math.isfinite(self.gamma) and self.gamma > 1):
             raise ValueError("need gamma > 1")
         if not 0 < self.eta1 < 1:
             raise ValueError("need eta1 in (0,1)")
-        if self.eta2 < 0:
+        if not (math.isfinite(self.eta2) and self.eta2 >= 0):
             raise ValueError("need eta2 >= 0")
         if self.budget < 1:
             raise ValueError("need a positive budget")

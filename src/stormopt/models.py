@@ -36,7 +36,6 @@ class QuadraticModel:
     f0: float
     gradient: np.ndarray
     hessian: np.ndarray
-    hessian_norm_cap: Optional[float] = None
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -119,31 +118,33 @@ def _random_orthonormal(n: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def initial_frame(center: np.ndarray, delta: float, count: int, rng) -> np.ndarray:
+    """The first ``count`` rows of: the center, the +frame, the -frame and the
+    pair midpoints of a random orthonormal frame scaled by delta; uniform ball
+    samples, one draw each, fill any rows past that quadratic count."""
+    n = center.size
+    q = _random_orthonormal(n, rng)
+    i, j = _kernels.pair_indices(n)  # the pair order of quad_basis
+    rows = np.vstack([center, center + delta * q, center - delta * q,
+                      center + delta * (q[i] + q[j]) / np.sqrt(2.0)])[:count]
+    tail = [sample_in_ball(center, delta, 1, rng) for _ in range(count - len(rows))]
+    return np.vstack([rows, *tail])
+
+
 def make_poised_set(center, delta: float, kind: str, rng, p: Optional[int] = None) -> PoisedSet:
     """Construct a sample set in B(center, delta) for the given model kind.
 
-    Linear interpolation uses the center plus a random orthonormal frame
-    scaled by delta; quadratic interpolation adds the opposite frame points
-    and pairwise midpoints; regression uses the center plus uniform ball
-    samples (p total points).
+    Linear and quadratic interpolation take the first n+1 or (n+1)(n+2)/2
+    rows of ``initial_frame``: the center, the +frame, then (quadratic only)
+    the -frame and the pair midpoints. Regression uses the center plus
+    uniform ball samples (p total points).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     center = np.asarray(center, dtype=float)
     n = center.size
-    if kind == KIND_LINEAR:
-        q = _random_orthonormal(n, rng)
-        pts = np.vstack([center, center + delta * q])
-    elif kind == KIND_QUADRATIC:
-        q = _random_orthonormal(n, rng)
-        rows = [center]
-        for i in range(n):
-            rows.append(center + delta * q[i])
-            rows.append(center - delta * q[i])
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows.append(center + delta * (q[i] + q[j]) / np.sqrt(2.0))
-        pts = np.vstack(rows)
+    if kind in (KIND_LINEAR, KIND_QUADRATIC):
+        pts = initial_frame(center, delta, expected_point_count(kind, n), rng)
     elif kind == KIND_REGRESSION:
         count = expected_point_count(kind, n, p)
         pts = np.vstack([center, sample_in_ball(center, delta, count - 1, rng)])
@@ -163,8 +164,21 @@ def _basis_matrix(steps_scaled: np.ndarray, degree: int) -> np.ndarray:
     raise ValueError("degree must be 1 or 2")
 
 
-def _unpack_coefficients(coef: np.ndarray, n: int, degree: int, scale: float):
-    f0 = float(coef[0])
+def _lstsq(points: np.ndarray, center: np.ndarray, values: np.ndarray, degree: int,
+           scale: float):
+    """Basis of the steps from ``center`` scaled by ``scale``, and its
+    least-squares solve: ``(M, coef, rank, singular values)``."""
+    M = _basis_matrix((points - center) / scale, degree)
+    coef, _, rank, sv = np.linalg.lstsq(M, values, rcond=None)
+    return M, coef, rank, sv
+
+
+def _model(center: np.ndarray, coef: np.ndarray, degree: int, scale: float,
+           cap: Optional[float]) -> QuadraticModel:
+    """Unscale the coefficients of ``_lstsq`` into a model, its Hessian capped.
+    Both triangles of H come from one coefficient, so the uncapped H is
+    exactly symmetric."""
+    n = center.size
     g = coef[1 : 1 + n] / scale
     H = np.zeros((n, n))
     if degree == 2:
@@ -172,7 +186,7 @@ def _unpack_coefficients(coef: np.ndarray, n: int, degree: int, scale: float):
         i, j = _kernels.pair_indices(n)  # the pair order of quad_basis
         H[i, j] = H[j, i] = coef[1 + 2 * n :] / 2.0
         H /= scale**2
-    return f0, g, H
+    return QuadraticModel(center, float(coef[0]), g, _cap_hessian(H, cap))
 
 
 def _cap_hessian(H: np.ndarray, cap: Optional[float]) -> np.ndarray:
@@ -219,14 +233,10 @@ def fit_interpolation(pset: PoisedSet, values: Sequence[float],
         raise ValueError(f"{pset.kind} needs {expected_point_count(pset.kind, n)} points")
     degree = 2 if pset.kind == KIND_QUADRATIC else 1
     scale = max(pset.delta, 1e-300)
-    M = _basis_matrix((pset.points - pset.center) / scale, degree)
-    u, s, vt = np.linalg.svd(M)
-    if s[-1] <= 0 or s[0] / s[-1] > COND_LIMIT:
+    _, coef, _, sv = _lstsq(pset.points, pset.center, values, degree, scale)
+    if sv[-1] <= 0 or sv[0] / sv[-1] > COND_LIMIT:
         raise GeometryError("interpolation system is numerically singular")
-    coef = vt.T @ ((u.T @ values) / s)
-    f0, g, H = _unpack_coefficients(coef, n, degree, scale)
-    H = _cap_hessian(0.5 * (H + H.T), hessian_cap)
-    return QuadraticModel(pset.center, f0, g, H, hessian_norm_cap=hessian_cap)
+    return _model(pset.center, coef, degree, scale, hessian_cap)
 
 
 def fit_regression(pset: PoisedSet, values: Sequence[float], degree: int,
@@ -239,47 +249,39 @@ def fit_regression(pset: PoisedSet, values: Sequence[float], degree: int,
     values = np.asarray(values, dtype=float)
     if values.size != pset.npoints:
         raise ValueError("values/points length mismatch")
-    n = pset.center.size
     scale = max(pset.delta, 1e-300)
-    M = _basis_matrix((pset.points - pset.center) / scale, degree)
-    coef, _, rank, _ = np.linalg.lstsq(M, values, rcond=None)
+    M, coef, rank, _ = _lstsq(pset.points, pset.center, values, degree, scale)
     if rank < M.shape[1]:
         raise GeometryError("rank-deficient regression basis")
-    f0, g, H = _unpack_coefficients(coef, n, degree, scale)
-    H = _cap_hessian(0.5 * (H + H.T), hessian_cap)
-    return QuadraticModel(pset.center, f0, g, H, hessian_norm_cap=hessian_cap)
+    return _model(pset.center, coef, degree, scale, hessian_cap)
 
 
 def fit_quadratic_set(points: np.ndarray, center: np.ndarray, values: Sequence[float],
-                      scale: Optional[float] = None,
+                      delta: float = 0.0,
                       hessian_cap: Optional[float] = None) -> QuadraticModel:
     """Quadratic model through an arbitrary point set of size n+1..(n+1)(n+2)/2.
 
     With a full quadratic count this is plain interpolation; with fewer
     points the minimum-norm least-squares solution is taken, which still
-    interpolates whenever the system is consistent. Used by the variants
-    whose persistent sets grow one point per iteration.
+    interpolates whenever the system is consistent. Steps are scaled by the
+    larger of the furthest point's distance from ``center`` and the radius
+    ``delta``. Used by the variants whose persistent sets grow one point per
+    iteration.
     """
     points = np.asarray(points, dtype=float)
     center = np.asarray(center, dtype=float)
     values = np.asarray(values, dtype=float)
-    n = center.size
-    p = points.shape[0]
-    if p < n + 1:
+    if points.shape[0] < center.size + 1:
         raise GeometryError("too few points for a quadratic set")
-    if scale is None:
-        dists = np.linalg.norm(points - center, axis=1)
-        scale = max(float(dists.max(initial=0.0)), 1e-300)
-    M = _basis_matrix((points - center) / scale, 2)
+    dists = np.linalg.norm(points - center, axis=1)
+    scale = max(float(dists.max(initial=0.0)), delta, 1e-300)
     # Rank-deficient geometry still yields the min-norm interpolant when the
     # data are consistent; only irreconcilable values flag the iteration.
-    coef, _, _, _ = np.linalg.lstsq(M, values, rcond=None)
+    M, coef, _, _ = _lstsq(points, center, values, 2, scale)
     resid = np.abs(M @ coef - values).max(initial=0.0)
     if resid > 1e-7 * max(1.0, np.abs(values).max(initial=0.0)):
         raise GeometryError("inconsistent interpolation data")
-    f0, g, H = _unpack_coefficients(coef, n, 2, scale)
-    H = _cap_hessian(0.5 * (H + H.T), hessian_cap)
-    return QuadraticModel(center, f0, g, H, hessian_norm_cap=hessian_cap)
+    return _model(center, coef, 2, scale, hessian_cap)
 
 
 def fit_gradient_taylor(x0, fbar: float, gbar, Hopt=None) -> QuadraticModel:

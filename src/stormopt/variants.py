@@ -23,7 +23,7 @@ from . import _kernels
 from .engine import RunRecord, StoppingRule, TrustRegionConfig, _tag, run
 from .logistic import Dataset, LogisticProblem
 from .models import (KIND_REGRESSION, PoisedSet, QuadraticModel, fit_quadratic_set,
-                     fit_regression, sample_in_ball, _random_orthonormal)
+                     fit_regression, initial_frame, sample_in_ball)
 from .oracles import EstimatePair, averaged_estimate
 from .subproblem import dogleg
 
@@ -139,36 +139,6 @@ class _PersistentSet:
                 self.center_index -= 1
 
 
-def _initial_frame(center: np.ndarray, delta: float, count: int, rng) -> np.ndarray:
-    """Center plus an orthonormal frame (and, if needed, opposite/cross points
-    or ball samples) totalling ``count`` points."""
-    n = center.size
-    q = _random_orthonormal(n, rng)
-    rows = [center]
-    for i in range(n):
-        rows.append(center + delta * q[i])
-    for i in range(n):
-        if len(rows) >= count:
-            break
-        rows.append(center - delta * q[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if len(rows) >= count:
-                break
-            rows.append(center + delta * (q[i] + q[j]) / np.sqrt(2.0))
-    while len(rows) < count:
-        rows.append(sample_in_ball(center, delta, 1, rng)[0])
-    return np.vstack(rows[:count])
-
-
-def _fit_persistent(pset: _PersistentSet, center: np.ndarray, delta: float,
-                    values) -> QuadraticModel:
-    pts = pset.array()
-    dists = np.linalg.norm(pts - center, axis=1)
-    scale = max(float(dists.max(initial=0.0)), delta, 1e-300)
-    return fit_quadratic_set(pts, center, values, scale=scale)
-
-
 class TrSaaComponents:
     """Persistent interpolation set with incrementally averaged values; the
     center estimate doubles as f_k^0 and is interpolated by the model."""
@@ -187,7 +157,7 @@ class TrSaaComponents:
         self._p_k = _rate_linear(self.vcfg.p_min, state.k, state.delta,
                                  _budget_left(problem, self.budget))
         if self.pset is None:
-            pts = _initial_frame(state.x, state.delta, problem.dimension + 1, rng)
+            pts = initial_frame(state.x, state.delta, problem.dimension + 1, rng)
             self.pset = _PersistentSet(pts)
         _tag(self.trace, "value-update")
         for i in range(len(self.pset)):
@@ -203,7 +173,7 @@ class TrSaaComponents:
                     self.pset.means[i] = (have * self.pset.means[i] + extra * fresh) / self._p_k
                     self.pset.counts[i] = self._p_k
         _tag(self.trace, "model")
-        return _fit_persistent(self.pset, state.x, state.delta, self.pset.means)
+        return fit_quadratic_set(self.pset.array(), state.x, self.pset.means, state.delta)
 
     def estimate(self, problem, state, model, step, rng):
         f0 = float(self.pset.means[self.pset.center_index])
@@ -259,12 +229,12 @@ class StormFailureComponents:
     def build(self, problem, state, rng):
         if self.pset is None:
             p0 = min(self.vcfg.p0 or (problem.dimension + 1), self.vcfg.p_max)
-            pts = _initial_frame(state.x, state.delta, p0, rng)
+            pts = initial_frame(state.x, state.delta, p0, rng)
             self.pset = _PersistentSet(pts)
         _tag(self.trace, "values-afresh")
         values = problem.noisy_eval_batch(self.pset.array(), rng)
         _tag(self.trace, "model")
-        return _fit_persistent(self.pset, state.x, state.delta, values)
+        return fit_quadratic_set(self.pset.array(), state.x, values, state.delta)
 
     def estimate(self, problem, state, model, step, rng):
         f0 = problem.noisy_eval(state.x, rng)
@@ -312,52 +282,50 @@ def _default_stop(cfg: TrustRegionConfig, stop: Optional[StoppingRule]):
     return stop if stop is not None else StoppingRule(budget=cfg.budget)
 
 
-def run_tr_saa(problem, cfg: TrustRegionConfig, resample: bool = False, rng=None, *,
+def run_tr_saa(problem, cfg: TrustRegionConfig, resample: bool = False, *,
                vcfg: Optional[VariantConfig] = None, stop: Optional[StoppingRule] = None,
-               solver=dogleg, trace=None, nu: float = 0.5) -> RunRecord:
+               solver=dogleg, trace=None) -> RunRecord:
     name = "tr-saa-resample" if resample else "tr-saa"
     if vcfg is None:
         vcfg = VariantConfig.for_variant(name, problem.dimension)
     stop = _default_stop(cfg, stop)
     comp = TrSaaComponents(vcfg, resample, trace=trace, budget=stop.budget)
-    return run(problem, comp, comp, solver, cfg, stop,
-               variant=name, nu=nu, rng=rng, trace=trace)
+    return run(problem, comp, comp, solver, cfg, stop, variant=name, trace=trace)
 
 
-def run_storm_unbiased(problem, cfg: TrustRegionConfig, rng=None, *,
+def run_storm_unbiased(problem, cfg: TrustRegionConfig, *,
                        vcfg: Optional[VariantConfig] = None,
                        stop: Optional[StoppingRule] = None,
-                       solver=dogleg, trace=None, nu: float = 0.5) -> RunRecord:
+                       solver=dogleg, trace=None) -> RunRecord:
     if vcfg is None:
         vcfg = VariantConfig.for_variant("storm-unbiased", problem.dimension)
     stop = _default_stop(cfg, stop)
     comp = StormUnbiasedComponents(vcfg, trace=trace, budget=stop.budget)
-    return run(problem, comp, comp, solver, cfg, stop,
-               variant="storm-unbiased", nu=nu, rng=rng, trace=trace)
+    return run(problem, comp, comp, solver, cfg, stop, variant="storm-unbiased", trace=trace)
 
 
-def run_storm_failure(problem, cfg: TrustRegionConfig, rng=None, *,
+def run_storm_failure(problem, cfg: TrustRegionConfig, *,
                       vcfg: Optional[VariantConfig] = None,
                       stop: Optional[StoppingRule] = None,
-                      solver=dogleg, trace=None, nu: float = 0.5) -> RunRecord:
+                      solver=dogleg, trace=None) -> RunRecord:
     if vcfg is None:
         vcfg = VariantConfig.for_variant("storm-failure", problem.dimension)
     comp = StormFailureComponents(vcfg, trace=trace)
     return run(problem, comp, comp, solver, cfg, _default_stop(cfg, stop),
-               variant="storm-failure", nu=nu, rng=rng, trace=trace)
+               variant="storm-failure", trace=trace)
 
 
-def run_storm_logistic(problem: LogisticProblem, cfg: TrustRegionConfig, rng=None, *,
+def run_storm_logistic(problem: LogisticProblem, cfg: TrustRegionConfig, *,
                        hessian: bool = True, vcfg: Optional[VariantConfig] = None,
                        stop: Optional[StoppingRule] = None,
-                       solver=dogleg, trace=None, nu: float = 0.5) -> RunRecord:
+                       solver=dogleg, trace=None) -> RunRecord:
     if vcfg is None:
         vcfg = VariantConfig.for_variant("storm-logistic", problem.dimension,
                                          n_train=problem.train.n_samples)
     comp = StormLogisticComponents(vcfg, hessian=hessian, trace=trace)
     name = "storm-logistic" if hessian else "storm-logistic-h0"
     return run(problem, comp, comp, solver, cfg, _default_stop(cfg, stop),
-               variant=name, nu=nu, rng=rng, trace=trace)
+               variant=name, trace=trace)
 
 
 REGISTRY = {

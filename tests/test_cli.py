@@ -90,6 +90,20 @@ def test_bad_counts_and_tolerances_are_usage_errors(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag", ["--gamma", "--eta2"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ("run", "--variant", "tr-saa", "--problem", "simple-quad-2"),
+    ("sweep", "--problem", "simple-quad-2", "--seeds", "1", "--budget", "50"),
+    ("train", "--n-samples", "100", "--n-features", "2", "--baseline", "none"),
+])
+def test_non_finite_trust_region_settings_are_usage_errors(capsys, command, flag, value):
+    code, out, err = run_cli(capsys, *command, flag, value)
+    assert code == 2
+    assert err.startswith("error:") and flag[2:] in err
+    assert out == ""
+
+
 def test_unknown_flag_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["run", "--no-such-flag", "x", "--variant", "tr-saa",

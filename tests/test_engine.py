@@ -57,6 +57,11 @@ def test_config_validation():
         TrustRegionConfig(eta1=0.0)
     with pytest.raises(ValueError):
         TrustRegionConfig(eta2=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            TrustRegionConfig(gamma=bad)
+        with pytest.raises(ValueError, match="eta2"):
+            TrustRegionConfig(eta2=bad)
 
 
 # -------------------------------------------------------------- exact models

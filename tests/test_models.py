@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from stormopt.models import (KIND_REGRESSION, GeometryError, PoisedSet, QuadraticModel,
-                             fit_gradient_taylor, fit_interpolation, fit_quadratic_set,
-                             fit_regression, make_poised_set, probe_fully_linear,
+from stormopt.models import (KIND_QUADRATIC, KIND_REGRESSION, GeometryError, PoisedSet,
+                             QuadraticModel, _random_orthonormal, fit_gradient_taylor,
+                             fit_interpolation, fit_quadratic_set, fit_regression,
+                             initial_frame, make_poised_set, probe_fully_linear,
                              sample_in_ball)
 
 
@@ -49,6 +50,36 @@ def test_points_inside_ball_for_all_kinds():
                     ("regression", 12)]:
         ps = make_poised_set(c, 0.25, kind, rng_(7), p=p)
         assert np.linalg.norm(ps.points - c, axis=1).max() <= 0.25 * (1 + 1e-12)
+
+
+def _loop_frame(center, delta, count, rng):
+    """Row-by-row frame: center, +frame, -frame, pair midpoints, then one ball
+    sample per missing row, cut to ``count`` rows."""
+    n = center.size
+    q = _random_orthonormal(n, rng)
+    rows = [center] + [center + delta * q[i] for i in range(n)]
+    rows += [center - delta * q[i] for i in range(n)]
+    rows += [center + delta * (q[i] + q[j]) / np.sqrt(2.0)
+             for i in range(n) for j in range(i + 1, n)]
+    rows = rows[:count]
+    while len(rows) < count:
+        rows.append(sample_in_ball(center, delta, 1, rng)[0])
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_initial_frame_matches_row_by_row_frame(n):
+    # counts n+1 and (n+1)(n+2)/2 are the linear and quadratic sets; rows
+    # past the quadratic count come from the ball, one draw each
+    quad = (n + 1) * (n + 2) // 2
+    for count in sorted({1, n + 1, n + 2, quad - 1, quad, quad + 1, quad + 3}):
+        center = rng_(n).standard_normal(n)
+        want_rng, got_rng = rng_(50 + count), rng_(50 + count)
+        want = _loop_frame(center, 0.3, count, want_rng)
+        got = initial_frame(center, 0.3, count, got_rng)
+        assert got.shape == (count, n)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_sample_in_ball_uniformity_bounds():
@@ -220,8 +251,9 @@ def test_hessian_cap_clips_spectrum():
     f = lambda p: 10 * p[0] ** 2 - 7 * p[1] ** 2
     ps = make_poised_set(np.zeros(2), 1.0, "interpolation-quadratic", rng_(20))
     m = fit_interpolation(ps, [f(p) for p in ps.points], hessian_cap=3.0)
-    assert np.abs(np.linalg.eigvalsh(m.hessian)).max() <= 3.0 + 1e-12
-    assert m.hessian_norm_cap == 3.0
+    eig = np.linalg.eigvalsh(m.hessian)
+    assert np.abs(eig).max() <= 3.0 + 1e-12
+    np.testing.assert_allclose(eig, [-3.0, 3.0], atol=1e-9)  # both ends hit the cap
 
 
 def test_model_requires_symmetric_hessian():
@@ -321,6 +353,27 @@ def test_degree_matching_fits_recover_polynomials_exactly():
     mr = fit_regression(pr, [f(p) for p in pr.points], degree=2)
     np.testing.assert_allclose(mr.hessian, A, atol=1e-8)
     np.testing.assert_allclose(mr.gradient, 2 * A @ s0 + b, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_three_fitters_agree_on_a_full_quadratic_set(n):
+    rng = rng_(40 + n)
+    A = rng.standard_normal((n, n))
+    A = 0.5 * (A + A.T)
+    b = rng.standard_normal(n)
+    f = lambda p: float(p @ A @ p + b @ p - 0.3)
+    center = rng.standard_normal(n)
+    ps = make_poised_set(center, 0.5, KIND_QUADRATIC, rng)
+    vals = [f(p) for p in ps.points]
+    fits = [fit_interpolation(ps, vals), fit_regression(ps, vals, degree=2),
+            fit_quadratic_set(ps.points, ps.center, vals, delta=ps.delta)]
+    for m in fits:
+        assert np.array_equal(m.hessian, m.hessian.T)
+        assert abs(m.f0 - fits[0].f0) <= 1e-8
+        np.testing.assert_allclose(m.gradient, fits[0].gradient, atol=1e-8)
+        np.testing.assert_allclose(m.hessian, fits[0].hessian, atol=1e-8)
+    np.testing.assert_allclose(fits[0].hessian, A, atol=1e-8)
+    np.testing.assert_allclose(fits[0].gradient, 2 * A @ center + b, atol=1e-8)
 
 
 def test_regression_honors_hessian_cap():

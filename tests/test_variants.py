@@ -3,12 +3,12 @@ import pytest
 
 from stormopt.engine import StoppingRule, TrustRegionConfig, run
 from stormopt.logistic import Dataset, LogisticProblem, make_synthetic
-from stormopt.models import QuadraticModel
+from stormopt.models import QuadraticModel, initial_frame
 from stormopt.oracles import NoiseSpec, per_s_to_sigma
 from stormopt.problems import get_problem
 from stormopt.subproblem import dogleg
 from stormopt.variants import (REGISTRY, StormLogisticComponents, VariantConfig,
-                               _initial_frame, _PersistentSet, _rate_linear, run_adagrad, run_storm_failure,
+                               _PersistentSet, _rate_linear, run_adagrad, run_storm_failure,
                                run_storm_logistic, run_storm_unbiased, run_tr_saa)
 
 
@@ -183,7 +183,7 @@ def test_near_tie_eviction_matches_per_row_norm(n, seed):
     rng = np.random.default_rng(seed)
     center = rng.standard_normal(n)
     delta = 10.0 ** rng.uniform(-6, 1)
-    pts = _initial_frame(center, delta, (n + 1) * (n + 2) // 2, rng)
+    pts = initial_frame(center, delta, (n + 1) * (n + 2) // 2, rng)
     pset = _PersistentSet(pts)
     trial = center + 0.5 * delta * rng.standard_normal(n) / np.sqrt(n)
     pset.augment_and_evict(trial, 0.0, 0, center, p_max=len(pts))
