@@ -29,7 +29,7 @@ from .profiles import (ProfileTable, build_profiles, profile_fraction, solve_thr
 from .subproblem import StepResult, cauchy_point, dogleg
 from .theory import (TheoryConstants, check_probabilities, compute_theory_constants,
                      failure_alpha_beta, min_success_probability)
-from .variants import (VariantConfig, run_adagrad, run_storm_failure,
-                       run_storm_logistic, run_storm_unbiased, run_tr_saa)
+from .variants import (run_adagrad, run_storm_failure, run_storm_logistic,
+                       run_storm_unbiased, run_tr_saa)
 
 __version__ = "0.1.0"

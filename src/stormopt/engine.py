@@ -11,7 +11,11 @@ update. Model builders and estimators are duck-typed objects:
         -- optional hook, called after the radius update
     estimator.estimate(problem, state, model, step, rng) -> EstimatePair
 
-A solver is any callable (model, delta) -> StepResult.
+A solver is any callable (model, delta) -> StepResult. The variants in
+``stormopt.variants`` assemble these pieces: each runner takes ``problem``,
+``cfg`` and the keywords ``stop=None`` and ``solver=dogleg`` (its
+``REGISTRY`` entries are ``(problem, cfg, stop=None)``) and calls ``run``;
+that module holds the sample-size rules and their constant ``P_MIN``.
 
 Degenerate model geometry (a ``GeometryError``, or a ``LinAlgError`` from a
 fit whose least-squares solve did not converge) and zero model decrease both
@@ -31,6 +35,7 @@ from .models import GeometryError
 from .oracles import EstimatePair
 
 ZERO_DECREASE_REL_FLOOR = 1e-15
+PHI_NU = 0.5  # weight of f in the logged monitor phi (diagnostics only)
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,10 @@ class TrustRegionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.delta0 <= self.delta_max:
-            raise ValueError("need 0 < delta0 <= delta_max")
+        # an infinite radius makes every fit and every radius update inf, so
+        # neither the radius floor nor the budget would ever stop the run
+        if not (0 < self.delta0 <= self.delta_max and math.isfinite(self.delta_max)):
+            raise ValueError("need 0 < delta0 <= delta_max < inf")
         if not (math.isfinite(self.gamma) and self.gamma > 1):
             raise ValueError("need gamma > 1")
         if not 0 < self.eta1 < 1:
@@ -176,19 +183,13 @@ def phi_monitor(f_value: float, delta: float, nu: float) -> float:
     return nu * f_value + (1.0 - nu) * delta**2
 
 
-def _tag(trace, label):
-    if trace is not None:
-        trace.append(label)
-
-
 def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
-        stop: StoppingRule, *, variant: str = "custom", nu: float = 0.5,
-        rng=None, trace: Optional[list] = None) -> RunRecord:
-    """Run the trust-region loop until the stopping rule fires."""
+        stop: StoppingRule, *, variant: str = "custom") -> RunRecord:
+    """Run the trust-region loop until the stopping rule fires. Every random
+    draw comes from one generator seeded with ``cfg.seed``."""
     if problem.dimension < 1:
         raise ValueError("problem dimension must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     state = TrustRegionState(k=0, x=np.array(problem.x0, dtype=float), delta=cfg.delta0)
     ref = problem.noiseless_ref
     record = RunRecord(problem=problem.name, variant=variant, seed=cfg.seed)
@@ -204,7 +205,6 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
             stop_reason = "max-iterations"
             break
 
-        _tag(trace, "iteration-start")
         evals_before = problem.eval_count
         x_before = state.x.copy()
         delta_before = state.delta
@@ -224,19 +224,15 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
             flag = "geometry"
         if model is not None:
             grad_norm = model.grad_norm
-            _tag(trace, "step")
             step = solver(model, state.delta)
-            _tag(trace, "estimates")
             est: EstimatePair = estimator.estimate(problem, state, model, step, rng)
             f0, fs = est.f0, est.fs
-            _tag(trace, "acceptance")
             if step.model_decrease <= ZERO_DECREASE_REL_FLOOR * max(1.0, abs(f0)):
                 flag = "zero-decrease"
             else:
                 rho = (f0 - fs) / step.model_decrease
                 success = acceptance_test(rho, grad_norm, state.delta, cfg.eta1, cfg.eta2)
 
-        _tag(trace, "radius")
         if success:
             state.x = x_before + step.step
             state.delta = min(cfg.gamma * state.delta, cfg.delta_max)
@@ -248,7 +244,7 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
 
         if success and ref is not None:  # a rejected step leaves state.x, and f, as they were
             true_after = ref[0](state.x)
-        phi = phi_monitor(true_after, state.delta, nu) if true_after is not None else None
+        phi = phi_monitor(true_after, state.delta, PHI_NU) if true_after is not None else None
         record.events.append(IterationEvent(
             k=state.k, x_before=x_before, x_after=state.x.copy(),
             delta_before=delta_before, delta_after=state.delta,

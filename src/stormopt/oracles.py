@@ -37,11 +37,6 @@ DEFAULT_GARBAGE_VALUE = -10000.0
 class EstimatePair:
     f0: float
     fs: float
-    samples_used: int
-
-    def __post_init__(self):
-        if self.samples_used < 1:
-            raise ValueError("samples_used must be >= 1")
 
 
 @dataclass(frozen=True)

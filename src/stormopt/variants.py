@@ -3,75 +3,51 @@ sample averaging (with optional full resampling), fresh-regression runs for
 unbiased noise, fresh-interpolation runs for computation-failure noise, a
 subsampled-Newton variant for logistic loss, and an Adagrad baseline.
 
+The runners are ``run_tr_saa(problem, cfg, resample=False, *, stop=None,
+solver=dogleg)`` and ``run_storm_unbiased``, ``run_storm_failure`` and
+``run_storm_logistic(problem, cfg, *, [hessian=True,] stop=None,
+solver=dogleg)``; ``stop`` defaults to a budget-only rule at ``cfg.budget``.
 ``REGISTRY`` maps the name of every sum-of-squares variant to a runner
 ``(problem, cfg, stop=None) -> RunRecord``; the CLI runs variants through it.
 
-Sample-rate rules:
-    tr-saa / storm-unbiased : p_k = max(p_min + k, ceil(1/delta_k))
+Sample sizes come from ``P_MIN`` and the problem's dimension n; nothing else
+configures them:
+    tr-saa / storm-unbiased : p_k = max(P_MIN + k, ceil(1/delta_k)), capped at
+                              the budget left
+    tr-saa / storm-failure  : at most quad_basis_size(n) set points; storm-failure
+                              starts from that many, tr-saa from n + 1
     storm-logistic          : p_k = min(p_max, max(100 k + p0, ceil(1/delta_k^2)))
+                              with p0 = n + 1 and p_max the training-set size
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .engine import RunRecord, StoppingRule, TrustRegionConfig, _tag, run
+from .engine import RunRecord, StoppingRule, TrustRegionConfig, run
 from .logistic import Dataset, LogisticProblem
 from .models import (KIND_REGRESSION, PoisedSet, QuadraticModel, fit_quadratic_set,
                      fit_regression, initial_frame, sample_in_ball)
 from .oracles import EstimatePair, averaged_estimate
 from .subproblem import dogleg
 
+P_MIN = 10
+_NO_BUDGET_CAP = int(sys.float_info.max)
 _DEDUPE_REL_TOL = 1e-12
 
 
-@dataclass
-class VariantConfig:
-    variant: str
-    p_min: int = 10
-    p_max: Optional[int] = None
-    p0: Optional[int] = None
-
-    def __post_init__(self):
-        # p_min/p_max only bound the same quantity (the sample size) in the
-        # logistic rule; for the persistent-set variants p_max caps the set.
-        if self.p0 is not None and self.p_max is not None and self.p0 > self.p_max:
-            raise ValueError("need p0 <= p_max")
-        if (self.variant == "storm-logistic" and self.p_max is not None
-                and self.p_min > self.p_max):
-            raise ValueError("need p_min <= p_max")
-
-    @staticmethod
-    def for_variant(variant: str, n: int, p_min: int = 10,
-                    p0: Optional[int] = None, n_train: Optional[int] = None):
-        quad_count = _kernels.quad_basis_size(n)
-        if variant in ("tr-saa", "tr-saa-resample"):
-            return VariantConfig(variant, p_min=p_min, p_max=quad_count)
-        if variant == "storm-unbiased":
-            return VariantConfig(variant, p_min=p_min)
-        if variant == "storm-failure":
-            return VariantConfig(variant, p_min=n + 1, p_max=quad_count,
-                                 p0=quad_count if p0 is None else p0)
-        if variant == "storm-logistic":
-            if n_train is None:
-                raise ValueError("storm-logistic needs the training-set size")
-            return VariantConfig(variant, p_min=1, p_max=n_train,
-                                 p0=(n - 1) + 2 if p0 is None else p0)
-        raise ValueError(f"unknown variant {variant!r}")
-
-
-def _rate_linear(p_min: int, k: int, delta: float,
-                 budget_left: Optional[int] = None) -> int:
-    p = max(p_min + k, math.ceil(1.0 / delta))
-    if budget_left is not None:
-        # keep the 1/delta rule from exploding past the budget mid-iteration
-        p = min(p, max(1, budget_left))
-    return p
+def _rate_linear(k: int, delta: float, budget_left: Optional[int] = None) -> int:
+    """max(P_MIN + k, ceil(1/delta)), capped at the budget left so the 1/delta
+    rule cannot explode past the budget mid-iteration. The cap (the largest
+    float when there is no budget) is applied to 1/delta before the ceil, so
+    a tiny radius cannot overflow it."""
+    cap = _NO_BUDGET_CAP if budget_left is None else max(1, budget_left)
+    return min(cap, max(P_MIN + k, math.ceil(min(1.0 / delta, cap))))
 
 
 def _budget_left(problem, budget: Optional[int]) -> Optional[int]:
@@ -88,7 +64,6 @@ class _PersistentSet:
         self.means = np.zeros(len(self.points))
         self.counts = np.zeros(len(self.points), dtype=int)
         self.center_index = 0
-        self.eviction_audit = []  # (evicted_point, distances, new_center)
 
     def __len__(self):
         return len(self.points)
@@ -130,8 +105,6 @@ class _PersistentSet:
         if len(self.points) > p_max:
             dists[self.center_index] = -np.inf
             evict = int(np.argmax(dists))  # argmax takes the lowest index on ties
-            self.eviction_audit.append((self.points[evict].copy(), dists,
-                                        np.array(new_center, dtype=float)))
             self.points = np.delete(self.points, evict, axis=0)
             self.means = np.delete(self.means, evict)
             self.counts = np.delete(self.counts, evict)
@@ -143,23 +116,16 @@ class TrSaaComponents:
     """Persistent interpolation set with incrementally averaged values; the
     center estimate doubles as f_k^0 and is interpolated by the model."""
 
-    def __init__(self, vcfg: VariantConfig, resample: bool, trace=None,
-                 budget: Optional[int] = None):
-        self.vcfg = vcfg
+    def __init__(self, resample: bool, budget: Optional[int] = None):
         self.resample = resample
-        self.trace = trace
         self.budget = budget
         self.pset: Optional[_PersistentSet] = None
-        self._p_k = vcfg.p_min
 
     def build(self, problem, state, rng):
-        _tag(self.trace, "sample-rate")
-        self._p_k = _rate_linear(self.vcfg.p_min, state.k, state.delta,
-                                 _budget_left(problem, self.budget))
+        self._p_k = _rate_linear(state.k, state.delta, _budget_left(problem, self.budget))
         if self.pset is None:
             pts = initial_frame(state.x, state.delta, problem.dimension + 1, rng)
             self.pset = _PersistentSet(pts)
-        _tag(self.trace, "value-update")
         for i in range(len(self.pset)):
             if self.resample:
                 self.pset.means[i] = averaged_estimate(problem, self.pset.points[i],
@@ -172,41 +138,32 @@ class TrSaaComponents:
                     fresh = averaged_estimate(problem, self.pset.points[i], extra, rng)
                     self.pset.means[i] = (have * self.pset.means[i] + extra * fresh) / self._p_k
                     self.pset.counts[i] = self._p_k
-        _tag(self.trace, "model")
         return fit_quadratic_set(self.pset.array(), state.x, self.pset.means, state.delta)
 
     def estimate(self, problem, state, model, step, rng):
         f0 = float(self.pset.means[self.pset.center_index])
         fs = averaged_estimate(problem, state.x + step.step, self._p_k, rng)
-        return EstimatePair(f0=f0, fs=fs, samples_used=self._p_k)
+        return EstimatePair(f0=f0, fs=fs)
 
     def update_after_iteration(self, problem, state, trial, trial_estimate, success, rng):
-        _tag(self.trace, "set-update")
         count = 0 if not np.isfinite(trial_estimate) else self._p_k
         mean = trial_estimate if count else 0.0
-        self.pset.augment_and_evict(trial, mean, count, state.x, self.vcfg.p_max)
+        self.pset.augment_and_evict(trial, mean, count, state.x,
+                                    _kernels.quad_basis_size(problem.dimension))
 
 
 class StormUnbiasedComponents:
     """Fresh uniformly drawn regression set each iteration; estimates are
     sample averages independent of the model values."""
 
-    def __init__(self, vcfg: VariantConfig, trace=None, budget: Optional[int] = None):
-        self.vcfg = vcfg
-        self.trace = trace
+    def __init__(self, budget: Optional[int] = None):
         self.budget = budget
-        self._p_k = vcfg.p_min
 
     def build(self, problem, state, rng):
-        _tag(self.trace, "sample-rate")
-        self._p_k = _rate_linear(self.vcfg.p_min, state.k, state.delta,
-                                 _budget_left(problem, self.budget))
-        _tag(self.trace, "set-draw")
+        self._p_k = _rate_linear(state.k, state.delta, _budget_left(problem, self.budget))
         pts = np.vstack([state.x[None, :],
                          sample_in_ball(state.x, state.delta, self._p_k - 1, rng)])
-        _tag(self.trace, "values")
         values = np.array([problem.noisy_eval(p, rng) for p in pts])
-        _tag(self.trace, "model")
         degree = 2 if self._p_k >= _kernels.quad_basis_size(problem.dimension) else 1
         return fit_regression(PoisedSet(pts, state.x, state.delta, KIND_REGRESSION),
                               values, degree)
@@ -214,56 +171,52 @@ class StormUnbiasedComponents:
     def estimate(self, problem, state, model, step, rng):
         f0 = averaged_estimate(problem, state.x, self._p_k, rng)
         fs = averaged_estimate(problem, state.x + step.step, self._p_k, rng)
-        return EstimatePair(f0=f0, fs=fs, samples_used=2 * self._p_k)
+        return EstimatePair(f0=f0, fs=fs)
 
 
 class StormFailureComponents:
-    """Persistent minimal-change interpolation set whose values are recomputed
-    afresh every iteration (single draws, no averaging)."""
+    """Persistent minimal-change interpolation set of quad_basis_size(n)
+    points whose values are recomputed afresh every iteration (single draws,
+    no averaging)."""
 
-    def __init__(self, vcfg: VariantConfig, trace=None):
-        self.vcfg = vcfg
-        self.trace = trace
+    def __init__(self):
         self.pset: Optional[_PersistentSet] = None
 
     def build(self, problem, state, rng):
         if self.pset is None:
-            p0 = min(self.vcfg.p0 or (problem.dimension + 1), self.vcfg.p_max)
-            pts = initial_frame(state.x, state.delta, p0, rng)
+            pts = initial_frame(state.x, state.delta,
+                                _kernels.quad_basis_size(problem.dimension), rng)
             self.pset = _PersistentSet(pts)
-        _tag(self.trace, "values-afresh")
         values = problem.noisy_eval_batch(self.pset.array(), rng)
-        _tag(self.trace, "model")
         return fit_quadratic_set(self.pset.array(), state.x, values, state.delta)
 
     def estimate(self, problem, state, model, step, rng):
         f0 = problem.noisy_eval(state.x, rng)
         fs = problem.noisy_eval(state.x + step.step, rng)
-        return EstimatePair(f0=f0, fs=fs, samples_used=2)
+        return EstimatePair(f0=f0, fs=fs)
 
     def update_after_iteration(self, problem, state, trial, trial_estimate, success, rng):
-        _tag(self.trace, "set-update")
-        self.pset.augment_and_evict(trial, 0.0, 0, state.x, self.vcfg.p_max)
+        self.pset.augment_and_evict(trial, 0.0, 0, state.x,
+                                    _kernels.quad_basis_size(problem.dimension))
 
 
 class StormLogisticComponents:
     """Model from a subsampled gradient (and optionally Hessian) at x_k; the
     constant term is omitted, so m(0) = 0 and the model decrease is -m(s)."""
 
-    def __init__(self, vcfg: VariantConfig, hessian: bool = True, trace=None):
-        self.vcfg = vcfg
+    def __init__(self, p0: int, p_max: int, hessian: bool = True):
+        self.p0 = p0
+        self.p_max = p_max
         self.hessian = hessian
-        self.trace = trace
-        self._p_k = vcfg.p0 or 1
 
     def _rate(self, k: int, delta: float) -> int:
-        raw = max(100 * k + (self.vcfg.p0 or 1), math.ceil(1.0 / delta**2))
-        return min(self.vcfg.p_max, raw)
+        # 1/delta^2 is capped at p_max before the ceil: a tiny radius would
+        # otherwise overflow it, or underflow delta^2 to 0
+        inv_sq = 1.0 / max(delta**2, 1.0 / self.p_max)
+        return min(self.p_max, max(100 * k + self.p0, math.ceil(inv_sq)))
 
     def build(self, problem: LogisticProblem, state, rng):
-        _tag(self.trace, "sample-rate")
         self._p_k = self._rate(state.k, state.delta)
-        _tag(self.trace, "model")
         idx = problem.draw_sample(self._p_k, rng)
         _, grad, hess = problem.sampled_loss_grad_hess(idx, state.x, self.hessian)
         n = problem.dimension
@@ -275,7 +228,7 @@ class StormLogisticComponents:
         i_s = problem.draw_sample(self._p_k, rng)
         f0 = problem.sampled_loss(i0, state.x)
         fs = problem.sampled_loss(i_s, state.x + step.step)
-        return EstimatePair(f0=f0, fs=fs, samples_used=2 * self._p_k)
+        return EstimatePair(f0=f0, fs=fs)
 
 
 def _default_stop(cfg: TrustRegionConfig, stop: Optional[StoppingRule]):
@@ -283,49 +236,34 @@ def _default_stop(cfg: TrustRegionConfig, stop: Optional[StoppingRule]):
 
 
 def run_tr_saa(problem, cfg: TrustRegionConfig, resample: bool = False, *,
-               vcfg: Optional[VariantConfig] = None, stop: Optional[StoppingRule] = None,
-               solver=dogleg, trace=None) -> RunRecord:
-    name = "tr-saa-resample" if resample else "tr-saa"
-    if vcfg is None:
-        vcfg = VariantConfig.for_variant(name, problem.dimension)
+               stop: Optional[StoppingRule] = None, solver=dogleg) -> RunRecord:
     stop = _default_stop(cfg, stop)
-    comp = TrSaaComponents(vcfg, resample, trace=trace, budget=stop.budget)
-    return run(problem, comp, comp, solver, cfg, stop, variant=name, trace=trace)
+    comp = TrSaaComponents(resample, budget=stop.budget)
+    return run(problem, comp, comp, solver, cfg, stop,
+               variant="tr-saa-resample" if resample else "tr-saa")
 
 
 def run_storm_unbiased(problem, cfg: TrustRegionConfig, *,
-                       vcfg: Optional[VariantConfig] = None,
-                       stop: Optional[StoppingRule] = None,
-                       solver=dogleg, trace=None) -> RunRecord:
-    if vcfg is None:
-        vcfg = VariantConfig.for_variant("storm-unbiased", problem.dimension)
+                       stop: Optional[StoppingRule] = None, solver=dogleg) -> RunRecord:
     stop = _default_stop(cfg, stop)
-    comp = StormUnbiasedComponents(vcfg, trace=trace, budget=stop.budget)
-    return run(problem, comp, comp, solver, cfg, stop, variant="storm-unbiased", trace=trace)
+    comp = StormUnbiasedComponents(budget=stop.budget)
+    return run(problem, comp, comp, solver, cfg, stop, variant="storm-unbiased")
 
 
 def run_storm_failure(problem, cfg: TrustRegionConfig, *,
-                      vcfg: Optional[VariantConfig] = None,
-                      stop: Optional[StoppingRule] = None,
-                      solver=dogleg, trace=None) -> RunRecord:
-    if vcfg is None:
-        vcfg = VariantConfig.for_variant("storm-failure", problem.dimension)
-    comp = StormFailureComponents(vcfg, trace=trace)
+                      stop: Optional[StoppingRule] = None, solver=dogleg) -> RunRecord:
+    comp = StormFailureComponents()
     return run(problem, comp, comp, solver, cfg, _default_stop(cfg, stop),
-               variant="storm-failure", trace=trace)
+               variant="storm-failure")
 
 
 def run_storm_logistic(problem: LogisticProblem, cfg: TrustRegionConfig, *,
-                       hessian: bool = True, vcfg: Optional[VariantConfig] = None,
-                       stop: Optional[StoppingRule] = None,
-                       solver=dogleg, trace=None) -> RunRecord:
-    if vcfg is None:
-        vcfg = VariantConfig.for_variant("storm-logistic", problem.dimension,
-                                         n_train=problem.train.n_samples)
-    comp = StormLogisticComponents(vcfg, hessian=hessian, trace=trace)
-    name = "storm-logistic" if hessian else "storm-logistic-h0"
+                       hessian: bool = True, stop: Optional[StoppingRule] = None,
+                       solver=dogleg) -> RunRecord:
+    comp = StormLogisticComponents(p0=problem.dimension + 1,
+                                   p_max=problem.train.n_samples, hessian=hessian)
     return run(problem, comp, comp, solver, cfg, _default_stop(cfg, stop),
-               variant=name, trace=trace)
+               variant="storm-logistic" if hessian else "storm-logistic-h0")
 
 
 REGISTRY = {
@@ -349,7 +287,7 @@ def check_adagrad_settings(step0: float, batch: int) -> None:
 
 
 def run_adagrad(dataset: Dataset, step0: float = 1.0, batch: int = 10,
-                budget: Optional[int] = None, rng=None, *, lam: float = 1e-4,
+                budget: Optional[int] = None, *, lam: float = 1e-4,
                 seed: int = 0, record_every: Optional[int] = None) -> RunRecord:
     """Diagonal adaptive gradient descent on the subsampled logistic loss.
 
@@ -358,8 +296,7 @@ def run_adagrad(dataset: Dataset, step0: float = 1.0, batch: int = 10,
     evaluation counts.
     """
     check_adagrad_settings(step0, batch)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     problem = LogisticProblem(dataset, lam=lam)
     if budget is None:
         budget = dataset.n_samples

@@ -82,6 +82,9 @@ def test_non_finite_sigma_is_usage_error(capsys):
     ("sweep", "--problem", "simple-quad-2", "--seeds", "-1"),
     ("profile", "--problems", "simple-quad-2", "--tau", "nan"),
     ("run", "--variant", "tr-saa", "--problem", "simple-quad-2", "--tau", "nan"),
+    # an infinite radius used to make the run loop forever
+    ("run", "--variant", "tr-saa", "--problem", "simple-quad-2",
+     "--delta0", "inf", "--delta-max", "inf"),
 ])
 def test_bad_counts_and_tolerances_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -90,7 +93,7 @@ def test_bad_counts_and_tolerances_are_usage_errors(capsys, argv):
     assert out == ""
 
 
-@pytest.mark.parametrize("flag", ["--gamma", "--eta2"])
+@pytest.mark.parametrize("flag", ["--gamma", "--eta2", "--delta0", "--delta-max"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command", [
     ("run", "--variant", "tr-saa", "--problem", "simple-quad-2"),
@@ -100,8 +103,25 @@ def test_bad_counts_and_tolerances_are_usage_errors(capsys, argv):
 def test_non_finite_trust_region_settings_are_usage_errors(capsys, command, flag, value):
     code, out, err = run_cli(capsys, *command, flag, value)
     assert code == 2
-    assert err.startswith("error:") and flag[2:] in err
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, marker", [
+    (("run", "--variant", "tr-saa", "--problem", "simple-quad-2", "--delta0", "1e-320"),
+     "stop_reason=delta-floor"),
+    (("run", "--variant", "storm-unbiased", "--problem", "simple-quad-2",
+      "--delta0", "1e-320"), "stop_reason=delta-floor"),
+    (("train", "--n-samples", "200", "--n-features", "2", "--delta0", "1e-160"),
+     "storm_final_train_loss="),
+    (("train", "--n-samples", "200", "--n-features", "2", "--delta0", "1e-200"),
+     "storm_final_train_loss="),
+])
+def test_tiny_radius_runs_to_a_clean_stop(capsys, argv, marker):
+    # 1/delta (and 1/delta^2) used to overflow, or divide by a delta^2 of 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert marker in out
 
 
 def test_unknown_flag_exits_nonzero(capsys):

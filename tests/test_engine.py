@@ -21,8 +21,7 @@ class ExactQuadraticBuilder:
 class SingleDrawEstimator:
     def estimate(self, problem, state, model, step, rng):
         return EstimatePair(f0=problem.noisy_eval(state.x, rng),
-                            fs=problem.noisy_eval(state.x + step.step, rng),
-                            samples_used=2)
+                            fs=problem.noisy_eval(state.x + step.step, rng))
 
 
 def norm_problem(n=2):
@@ -58,6 +57,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrustRegionConfig(eta2=-1.0)
     for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta0"):
+            TrustRegionConfig(delta0=bad, delta_max=bad)
+        with pytest.raises(ValueError, match="delta_max"):
+            TrustRegionConfig(delta_max=bad)
         with pytest.raises(ValueError, match="gamma"):
             TrustRegionConfig(gamma=bad)
         with pytest.raises(ValueError, match="eta2"):
@@ -91,7 +94,7 @@ def test_injected_estimates_rho_definition():
 
     class InjectedEstimator:
         def estimate(self, problem, state, model, step, rng):
-            return EstimatePair(f0=1.0, fs=1.0 - step.model_decrease, samples_used=1)
+            return EstimatePair(f0=1.0, fs=1.0 - step.model_decrease)
 
     problem = norm_problem(2)
     cfg = TrustRegionConfig(delta0=0.5, eta2=0.001, budget=10, seed=0)
@@ -105,7 +108,7 @@ def test_injected_estimates_rho_definition():
 def test_unsuccessful_iteration_radius_and_point():
     class BadEstimator:
         def estimate(self, problem, state, model, step, rng):
-            return EstimatePair(f0=0.0, fs=10.0, samples_used=1)  # rho < 0
+            return EstimatePair(f0=0.0, fs=10.0)  # rho < 0
 
     problem = norm_problem(2)
     cfg = TrustRegionConfig(delta0=0.8, gamma=2.0, budget=10, seed=0)
@@ -184,7 +187,7 @@ def test_target_stop():
 def test_delta_floor_stop():
     class NeverAccept:
         def estimate(self, problem, state, model, step, rng):
-            return EstimatePair(f0=0.0, fs=1.0, samples_used=1)
+            return EstimatePair(f0=0.0, fs=1.0)
 
     problem = norm_problem(2)
     cfg = TrustRegionConfig(budget=10**6, seed=0)
@@ -248,7 +251,7 @@ def test_phi_recorded_with_reference():
     problem = norm_problem(2)
     cfg = TrustRegionConfig(budget=100, eta2=0.0, seed=0)
     rec = run(problem, ExactQuadraticBuilder(), SingleDrawEstimator(), dogleg, cfg,
-              StoppingRule(budget=100, max_iterations=5), nu=0.5)
+              StoppingRule(budget=100, max_iterations=5))
     for ev in rec.events:
         assert ev.phi == pytest.approx(0.5 * ev.true_f_after + 0.5 * ev.delta_after**2)
 

@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+from stormopt import engine, variants
 from stormopt.engine import StoppingRule, TrustRegionConfig, run
 from stormopt.logistic import Dataset, LogisticProblem, make_synthetic
 from stormopt.models import QuadraticModel, initial_frame
 from stormopt.oracles import NoiseSpec, per_s_to_sigma
 from stormopt.problems import get_problem
 from stormopt.subproblem import dogleg
-from stormopt.variants import (REGISTRY, StormLogisticComponents, VariantConfig,
-                               _PersistentSet, _rate_linear, run_adagrad, run_storm_failure,
+from stormopt.variants import (P_MIN, REGISTRY, StormFailureComponents,
+                               StormLogisticComponents, TrSaaComponents, _PersistentSet,
+                               _rate_linear, run_adagrad, run_storm_failure,
                                run_storm_logistic, run_storm_unbiased, run_tr_saa)
 
 
@@ -16,133 +20,269 @@ def problem_with(name="simple-quad-2", noise=NoiseSpec()):
     return get_problem(name).instantiate(noise)
 
 
+def spy(monkeypatch, log, owner, name, label=None):
+    """Append ``label`` (default ``name``) to ``log`` on every call of
+    ``owner.name``, and return the spy. The variants look these names up at
+    call time, so the spy sees every call a run makes; the runners bind
+    ``dogleg`` as a default, so a spy on it is passed as ``solver=``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        log.append(label or name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return wrapper
+
+
+def spy_evictions(monkeypatch):
+    """Record (evicted point, points before eviction, new center) for every
+    eviction that ``_PersistentSet.augment_and_evict`` makes."""
+    log = []
+    original = _PersistentSet.augment_and_evict
+
+    def wrapper(self, trial, mean, count, new_center, p_max):
+        grown = self.points if self.find(trial) is not None else np.vstack([self.points, trial])
+        original(self, trial, mean, count, new_center, p_max)
+        if len(self.points) < len(grown):
+            i = next(i for i in range(len(grown))
+                     if np.array_equal(np.delete(grown, i, axis=0), self.points))
+            log.append((grown[i], grown, np.array(new_center, dtype=float)))
+    monkeypatch.setattr(_PersistentSet, "augment_and_evict", wrapper)
+    return log
+
+
 # ------------------------------------------------------------- sample rates
 
 def test_tr_saa_sample_rate():
-    assert _rate_linear(10, 0, 1.0) == 10
-    assert _rate_linear(10, 5, 0.01) == 100
-    assert _rate_linear(10, 60, 0.5) == 70
+    assert P_MIN == 10
+    assert _rate_linear(0, 1.0) == 10
+    assert _rate_linear(5, 0.01) == 100
+    assert _rate_linear(60, 0.5) == 70
+    assert _rate_linear(5, 0.01, 40) == 40  # capped at the budget left
 
 
-def test_logistic_sample_rate():
-    vcfg = VariantConfig.for_variant("storm-logistic", n=11, n_train=50_000)
-    comp = StormLogisticComponents(vcfg)
-    assert vcfg.p0 == 12  # m + 2 with m = dimension - 1
+def test_logistic_sample_rate(monkeypatch):
+    made = []
+    init = StormLogisticComponents.__init__
+
+    def record(self, p0, p_max, hessian=True):
+        made.append((p0, p_max))
+        init(self, p0, p_max, hessian)
+    monkeypatch.setattr(StormLogisticComponents, "__init__", record)
+    problem = LogisticProblem(make_synthetic(300, 10, seed=0), lam=1e-4)
+    run_storm_logistic(problem, TrustRegionConfig(budget=100, seed=0))
+    assert made == [(12, 300)]  # p0 = dimension + 1, p_max = training-set size
+
+    comp = StormLogisticComponents(p0=12, p_max=50_000)
     assert comp._rate(0, 1.0) == 12
     assert comp._rate(0, 0.01) == 10_000
     assert comp._rate(3, 1.0) == 312
-    vcfg_small = VariantConfig.for_variant("storm-logistic", n=11, n_train=1_000)
-    comp_small = StormLogisticComponents(vcfg_small)
+    comp_small = StormLogisticComponents(p0=12, p_max=1_000)
     assert comp_small._rate(0, 0.01) == 1_000  # clamped to the training size
 
 
-def test_variant_config_validation():
-    with pytest.raises(ValueError):
-        VariantConfig("storm-logistic", p_min=10, p_max=5)
-    with pytest.raises(ValueError):
-        VariantConfig.for_variant("no-such-variant", 2)
+def _old_rate_linear(k, delta, budget_left):
+    p = max(P_MIN + k, math.ceil(1.0 / delta))
+    return p if budget_left is None else min(p, max(1, budget_left))
+
+
+def _old_logistic_rate(p0, p_max, k, delta):
+    return min(p_max, max(100 * k + p0, math.ceil(1.0 / delta**2)))
+
+
+def test_rates_equal_the_uncapped_rules_wherever_those_did_not_raise():
+    # capping 1/delta at the budget left, or at the largest float without a
+    # budget (and 1/delta^2 at p_max), before the ceil only removes the
+    # overflow: every other value is unchanged
+    deltas = np.concatenate([np.logspace(-300, 1, 3011), [1e-320, 5e-324]])
+    compared = raised = 0
+    for delta in map(float, deltas):
+        for k, left in [(0, 3000), (7, 1), (40, 25), (2, 10**9), (0, None), (9, None)]:
+            new = _rate_linear(k, delta, left)
+            assert isinstance(new, int)
+            assert (1 <= new <= max(1, left)) if left is not None else new >= P_MIN + k
+            try:
+                old = _old_rate_linear(k, delta, left)
+            except OverflowError:
+                raised += 1
+                continue
+            compared += 1
+            assert new == old, (delta, k, left)
+        for p0, p_max, k in [(12, 50_000, 0), (4, 20, 3), (51, 190_000, 1), (2, 1, 0)]:
+            comp = StormLogisticComponents(p0=p0, p_max=p_max)
+            new = comp._rate(k, delta)
+            assert 1 <= new <= p_max
+            try:
+                old = _old_logistic_rate(p0, p_max, k, delta)
+            except (OverflowError, ZeroDivisionError):
+                raised += 1
+                continue
+            compared += 1
+            assert new == old, (delta, p0, p_max, k)
+    assert compared and raised  # both kinds of radius were seen
 
 
 # ------------------------------------------------------------ phase ordering
 
-def iteration_phases(trace):
-    """Split a phase trace into per-iteration lists."""
-    out, cur = [], None
-    for tag in trace:
-        if tag == "iteration-start":
-            if cur:
-                out.append(cur)
-            cur = []
-        else:
-            cur.append(tag)
-    if cur:
-        out.append(cur)
+def iteration_phases(log):
+    """Split a call log into per-iteration lists (each begins with "build"),
+    with repeated calls of one phase merged."""
+    out = []
+    for label in log:
+        if label == "build":
+            out.append([])
+        elif not out[-1] or out[-1][-1] != label:
+            out[-1].append(label)
     return out
 
 
-def test_tr_saa_phase_order():
-    trace = []
-    rec = run_tr_saa(problem_with(), TrustRegionConfig(budget=400, seed=0), trace=trace)
-    for phases in iteration_phases(trace):
-        assert phases == ["sample-rate", "value-update", "model", "step",
-                          "estimates", "acceptance", "radius", "set-update"]
-    assert rec.events
+def spy_phases(monkeypatch, component_cls, names):
+    """Returns the call log and the spied step solver to run with."""
+    log = []
+    spy(monkeypatch, log, component_cls, "build")
+    step = spy(monkeypatch, log, variants, "dogleg", "step")
+    spy(monkeypatch, log, engine, "acceptance_test", "acceptance")
+    for owner, name, label in names:
+        spy(monkeypatch, log, owner, name, label)
+    return log, step
 
 
-def test_storm_unbiased_phase_order():
-    trace = []
-    run_storm_unbiased(problem_with(), TrustRegionConfig(budget=400, seed=0), trace=trace)
-    for phases in iteration_phases(trace):
-        assert phases == ["sample-rate", "set-draw", "values", "model", "step",
-                          "estimates", "acceptance", "radius"]
+def test_tr_saa_phase_order(monkeypatch):
+    log, step = spy_phases(monkeypatch, TrSaaComponents, [
+        (variants, "_rate_linear", "sample-rate"),
+        (variants, "averaged_estimate", "averages"),
+        (variants, "fit_quadratic_set", "model"),
+        (_PersistentSet, "augment_and_evict", "set-update")])
+    rec = run_tr_saa(problem_with(), TrustRegionConfig(budget=400, seed=0), solver=step)
+    phases = iteration_phases(log)
+    assert len(phases) == len(rec.events) > 1
+    for ev, got in zip(rec.events, phases):
+        # the set values are topped up, then the model is fitted; after the
+        # step the trial point is estimated; the set update comes last
+        want = ["sample-rate", "averages", "model", "step", "averages",
+                "acceptance", "set-update"]
+        if ev.flag == "zero-decrease":
+            want.remove("acceptance")
+        assert got == want
 
 
-def test_storm_failure_phase_order():
-    trace = []
-    run_storm_failure(problem_with(), TrustRegionConfig(budget=400, seed=0), trace=trace)
-    for phases in iteration_phases(trace):
-        assert phases == ["values-afresh", "model", "step", "estimates",
-                          "acceptance", "radius", "set-update"]
+def test_storm_unbiased_phase_order(monkeypatch):
+    problem = problem_with()
+    log, step = spy_phases(monkeypatch, variants.StormUnbiasedComponents, [
+        (variants, "_rate_linear", "sample-rate"),
+        (variants, "sample_in_ball", "set-draw"),
+        (problem, "noisy_eval", "values"),
+        (variants, "fit_regression", "model"),
+        (variants, "averaged_estimate", "estimates")])
+    rec = run_storm_unbiased(problem, TrustRegionConfig(budget=400, seed=0), solver=step)
+    phases = iteration_phases(log)
+    assert len(phases) == len(rec.events) > 1
+    for ev, got in zip(rec.events, phases):
+        want = ["sample-rate", "set-draw", "values", "model", "step",
+                "estimates", "acceptance"]
+        if ev.flag == "zero-decrease":
+            want.remove("acceptance")
+        assert got == want
 
 
-def test_storm_logistic_phase_order():
-    ds = make_synthetic(100, 4, seed=0)
-    trace = []
-    run_storm_logistic(LogisticProblem(ds, lam=1e-4),
-                       TrustRegionConfig(budget=100, seed=0), trace=trace)
-    for phases in iteration_phases(trace):
-        assert phases == ["sample-rate", "model", "step", "estimates",
-                          "acceptance", "radius"]
+def test_storm_failure_phase_order(monkeypatch):
+    problem = problem_with()
+    log, step = spy_phases(monkeypatch, StormFailureComponents, [
+        (problem, "noisy_eval_batch", "values-afresh"),
+        (variants, "fit_quadratic_set", "model"),
+        (problem, "noisy_eval", "estimates"),
+        (_PersistentSet, "augment_and_evict", "set-update")])
+    rec = run_storm_failure(problem, TrustRegionConfig(budget=400, seed=0), solver=step)
+    phases = iteration_phases(log)
+    assert len(phases) == len(rec.events) > 1
+    for ev, got in zip(rec.events, phases):
+        want = ["values-afresh", "model", "step", "estimates", "acceptance", "set-update"]
+        if ev.flag == "zero-decrease":
+            want.remove("acceptance")
+        assert got == want
+
+
+def test_storm_logistic_phase_order(monkeypatch):
+    problem = LogisticProblem(make_synthetic(100, 4, seed=0), lam=1e-4)
+    log, step = spy_phases(monkeypatch, StormLogisticComponents, [
+        (StormLogisticComponents, "_rate", "sample-rate"),
+        (problem, "sampled_loss_grad_hess", "model"),
+        (problem, "sampled_loss", "estimates")])
+    rec = run_storm_logistic(problem, TrustRegionConfig(budget=100, seed=0), solver=step)
+    phases = iteration_phases(log)
+    assert len(phases) == len(rec.events) > 1
+    for ev, got in zip(rec.events, phases):
+        want = ["sample-rate", "model", "step", "estimates", "acceptance"]
+        if ev.flag == "zero-decrease":
+            want.remove("acceptance")
+        assert got == want
+
+
+def test_set_update_sees_the_updated_iterate(monkeypatch):
+    # the radius and iterate update comes before the set update, which
+    # recenters the set on the new x_k
+    centers = []
+    original = _PersistentSet.augment_and_evict
+
+    def wrapper(self, trial, mean, count, new_center, p_max):
+        centers.append(np.array(new_center))
+        original(self, trial, mean, count, new_center, p_max)
+    monkeypatch.setattr(_PersistentSet, "augment_and_evict", wrapper)
+    for runner in (run_tr_saa, run_storm_failure):
+        centers.clear()
+        rec = runner(problem_with(), TrustRegionConfig(budget=400, seed=0))
+        assert len(centers) == len(rec.events)
+        assert any(ev.success for ev in rec.events)
+        for ev, c in zip(rec.events, centers):
+            np.testing.assert_array_equal(c, ev.x_after)
 
 
 # --------------------------------------------------------------- independence
 
-def test_storm_unbiased_model_and_estimate_draws_are_separate():
+def test_storm_unbiased_model_and_estimate_draws_are_separate(monkeypatch):
     # the model consumes exactly p_k draws and the estimates 2 p_k fresh ones
     problem = problem_with(noise=NoiseSpec(kind="additive", sigma=0.1))
-    counts = []
+    log = []
     orig = problem.noisy_evals
 
     def counting_evals(x, count, rng):
-        counts.extend([len(trace)] * count)  # trace length tags the phase of each draw
+        log.extend(["draw"] * count)
         return orig(x, count, rng)
 
     problem.noisy_evals = counting_evals  # noisy_eval draws through it too
-    trace = []
-    rec = run_storm_unbiased(problem, TrustRegionConfig(budget=150, seed=0), trace=trace)
-    phases = iteration_phases(trace)
+    spy(monkeypatch, log, variants, "sample_in_ball", "set-draw")
+    spy(monkeypatch, log, variants, "fit_regression", "model")
+    step = spy(monkeypatch, log, variants, "dogleg", "step")
+    rec = run_storm_unbiased(problem, TrustRegionConfig(budget=150, seed=0), solver=step)
     ev0 = rec.events[0]
-    p0 = 10  # p_min at k=0, delta=1
+    p0 = P_MIN  # p_min at k=0, delta=1
     assert ev0.evals_used_this_iter == 3 * p0
-    # draws happen in two separated blocks: after 'values' tag and after 'estimates'
-    tags = [trace[i - 1] for i in counts[:3 * p0]]
-    assert tags[:p0] == ["values"] * p0
-    assert tags[p0:] == ["estimates"] * (2 * p0)
+    # draws happen in two separated blocks: the set values after the set
+    # draw, and the two estimates after the step
+    assert log[:3 * p0 + 3] == (["set-draw"] + ["draw"] * p0 + ["model", "step"]
+                                + ["draw"] * (2 * p0))
 
 
 # ------------------------------------------------------------------ eviction
 
-def test_eviction_respects_cap_and_furthest_rule():
-    vcfg = VariantConfig.for_variant("storm-failure", 2)
+def test_eviction_respects_cap_and_furthest_rule(monkeypatch):
+    evictions = spy_evictions(monkeypatch)
     problem = problem_with(noise=NoiseSpec(kind="failure", sigma=0.3, epsilon=10.0))
-    trace = []
-    from stormopt.variants import StormFailureComponents
-    comp = StormFailureComponents(vcfg, trace=trace)
+    comp = StormFailureComponents()
     cfg = TrustRegionConfig(budget=600, seed=2)
     run(problem, comp, comp, dogleg, cfg, StoppingRule(budget=600), variant="storm-failure")
-    assert len(comp.pset) <= vcfg.p_max
-    assert comp.pset.eviction_audit  # at least one eviction happened
-    for evicted, dists, center in comp.pset.eviction_audit:
+    assert len(comp.pset) <= 6  # the quadratic count for n = 2
+    assert evictions  # at least one eviction happened
+    for evicted, grown, center in evictions:
         d_ev = np.linalg.norm(evicted - center)
-        finite = dists[np.isfinite(dists)]
-        assert d_ev >= finite.max() - 1e-12
+        dists = np.array([np.linalg.norm(p - center) for p in grown])
+        assert d_ev >= dists[dists > 0].max() - 1e-12
 
 
 def test_tr_saa_center_estimate_is_interpolated_by_model():
     # the stored center estimate serves as f_k^0 AND as an interpolation
     # value, so m_k(x_k) reproduces it on every iteration (the deliberate
     # estimate/model coupling of this variant)
-    from stormopt.variants import TrSaaComponents
 
     class Instrumented(TrSaaComponents):
         checks = []
@@ -154,23 +294,21 @@ def test_tr_saa_center_estimate_is_interpolated_by_model():
 
     problem = problem_with(noise=NoiseSpec(kind="additive", sigma=0.1))
     cfg = TrustRegionConfig(budget=500, seed=6)
-    vcfg = VariantConfig.for_variant("tr-saa", 2)
-    comp = Instrumented(vcfg, resample=False)
+    comp = Instrumented(resample=False)
     run(problem, comp, comp, dogleg, cfg, StoppingRule(budget=500), variant="tr-saa")
     assert comp.checks
     for m_at_center, f0 in comp.checks:
         assert m_at_center == pytest.approx(f0, rel=1e-6, abs=1e-9)
 
 
-def test_eviction_never_removes_center():
-    vcfg = VariantConfig.for_variant("tr-saa", 2)
+def test_eviction_never_removes_center(monkeypatch):
+    evictions = spy_evictions(monkeypatch)
     problem = problem_with(noise=NoiseSpec(kind="additive", sigma=0.05))
-    from stormopt.variants import TrSaaComponents
-    comp = TrSaaComponents(vcfg, resample=False)
+    comp = TrSaaComponents(resample=False)
     cfg = TrustRegionConfig(budget=800, seed=4)
     run(problem, comp, comp, dogleg, cfg, StoppingRule(budget=800), variant="tr-saa")
-    center = comp.pset.points[comp.pset.center_index]
-    for evicted, _, c in comp.pset.eviction_audit:
+    assert evictions
+    for evicted, _, c in evictions:
         assert np.linalg.norm(evicted - c) > 0  # never the center itself
 
 
@@ -186,12 +324,12 @@ def test_near_tie_eviction_matches_per_row_norm(n, seed):
     pts = initial_frame(center, delta, (n + 1) * (n + 2) // 2, rng)
     pset = _PersistentSet(pts)
     trial = center + 0.5 * delta * rng.standard_normal(n) / np.sqrt(n)
+    grown = np.vstack([pts, trial])
+    want = np.array([np.linalg.norm(p - center) for p in grown])
+    assert np.array_equal(_PersistentSet(grown).distances(center), want)
     pset.augment_and_evict(trial, 0.0, 0, center, p_max=len(pts))
-    want = np.array([np.linalg.norm(p - center) for p in np.vstack([pts, trial])])
     want[0] = -np.inf  # the center
-    evicted, dists, _ = pset.eviction_audit[-1]
-    assert np.array_equal(dists, want)
-    assert np.array_equal(evicted, np.vstack([pts, trial])[np.argmax(want)])
+    assert np.array_equal(pset.points, np.delete(grown, np.argmax(want), axis=0))
     assert len(pset) == len(pts) and pset.center_index == 0
 
 
@@ -257,9 +395,16 @@ def test_tr_saa_zero_noise_matches_deterministic_interpolation_tr():
     cfg = TrustRegionConfig(budget=10**6, seed=9)
     p1 = problem_with("simple-quad-2")
     rec1 = run_tr_saa(p1, cfg, stop=stop)
-    p2 = problem_with("simple-quad-2")
-    vcfg = VariantConfig.for_variant("storm-failure", 2, p0=3)  # n+1 start, like TR-SAA
-    rec2 = run_storm_failure(p2, cfg, stop=stop, vcfg=vcfg)
+
+    class NPlusOneStart(StormFailureComponents):
+        def build(self, problem, state, rng):
+            if self.pset is None:  # n+1 start, like TR-SAA
+                self.pset = _PersistentSet(initial_frame(state.x, state.delta,
+                                                         problem.dimension + 1, rng))
+            return super().build(problem, state, rng)
+
+    comp = NPlusOneStart()
+    rec2 = run(problem_with("simple-quad-2"), comp, comp, dogleg, cfg, stop)
     for e1, e2 in zip(rec1.events, rec2.events):
         np.testing.assert_allclose(e1.x_after, e2.x_after, atol=1e-12)
         assert e1.delta_after == pytest.approx(e2.delta_after, abs=1e-15)
@@ -278,11 +423,10 @@ def test_storm_failure_sigma_zero_equals_noise_none():
 def test_full_batch_logistic_equals_deterministic_newton_tr():
     ds = make_synthetic(20, 3, seed=5, margin_noise=0.2)
     problem = LogisticProblem(ds, lam=1e-3)
-    n = problem.dimension
-    vcfg = VariantConfig.for_variant("storm-logistic", n, p0=20, n_train=20)
+    comp = StormLogisticComponents(p0=20, p_max=20)  # every sample is the full batch
     cfg = TrustRegionConfig(budget=10**9, seed=0)
     stop = StoppingRule(budget=10**9, max_iterations=15)
-    rec = run_storm_logistic(problem, cfg, vcfg=vcfg, stop=stop)
+    rec = run(problem, comp, comp, dogleg, cfg, stop)
 
     # reference: exact trust-region Newton on the true loss, same update rules
     x = problem.x0.copy()
@@ -308,8 +452,7 @@ def test_full_batch_logistic_equals_deterministic_newton_tr():
 def test_logistic_hessian_free_mode_sets_h_zero():
     ds = make_synthetic(60, 3, seed=1)
     problem = LogisticProblem(ds, lam=1e-4)
-    vcfg = VariantConfig.for_variant("storm-logistic", problem.dimension, n_train=60)
-    comp = StormLogisticComponents(vcfg, hessian=False)
+    comp = StormLogisticComponents(p0=problem.dimension + 1, p_max=60, hessian=False)
     rng = np.random.default_rng(0)
 
     class S:
