@@ -20,7 +20,7 @@ from .models import (GeometryError, ModelQualityReport, PoisedSet, QuadraticMode
                      fit_regression, make_poised_set, probe_fully_linear)
 from .oracles import (EstimatePair, NoiseSpec, StochasticProblem, averaged_estimate,
                       chebyshev_gradient_sample_size, chebyshev_sample_size,
-                      eval_additive, eval_failure, eval_multiplicative, per_s_to_sigma)
+                      per_s_to_sigma)
 from .logistic import (Dataset, LibsvmParseError, LogisticProblem, load_libsvm,
                        make_synthetic, subsample_logistic_oracle, train_test_split)
 from .problems import ProblemSpec, builtin_suite, get_problem, problem_names

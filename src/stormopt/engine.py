@@ -3,13 +3,20 @@
 One iteration performs, in order: model construction on B(x_k, delta_k),
 step calculation with a Cauchy-decrease certificate, estimation of the
 function values at x_k and x_k + s_k, the acceptance test, and the radius
-update. Model builders and estimators are duck-typed objects:
+update. The loop makes no assumption on how the model and the two estimates
+are made; one duck-typed ``components`` object supplies both:
 
-    builder.build(problem, state, rng) -> QuadraticModel
+    components.build(problem, state, rng) -> QuadraticModel
         -- may raise GeometryError or numpy.linalg.LinAlgError
-    builder.update_after_iteration(problem, state, trial, estimate, success, rng)
+    components.estimate(problem, state, model, step, rng) -> EstimatePair
+    components.update_after_iteration(problem, state, trial, estimate, success, rng)
         -- optional hook, called after the radius update
-    estimator.estimate(problem, state, model, step, rng) -> EstimatePair
+
+The engine owns the stopping rule. At the start of each iteration it sets
+``state.budget_left`` to ``stop.budget`` minus the evaluations spent (None
+without a budget), stops when that is not positive, and otherwise hands it
+to ``build``, so a component can cap its sample sizes without knowing the
+budget itself.
 
 A solver is any callable (model, delta) -> StepResult. The variants in
 ``stormopt.variants`` assemble these pieces: each runner takes ``problem``,
@@ -25,6 +32,7 @@ continues).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -68,23 +76,24 @@ class TrustRegionState:
     k: int
     x: np.ndarray
     delta: float
+    budget_left: Optional[int] = None  # stop.budget - evaluations spent; None without a budget
 
 
 def _same(a, b) -> bool:
-    """Exact equality of scalars and of tuples or lists of them, except that a
-    float NaN equals a float NaN in the same position. A NaN is unequal to
-    itself, so records whose NaN fields are distinct objects, as after
-    pickling, would otherwise differ."""
+    """Exact equality, field by field, of same-type dataclasses, and of
+    arrays, tuples, lists and scalars within them, except that NaN equals
+    NaN in the same position. A NaN is unequal to itself, so records whose
+    NaN fields are distinct objects, as after pickling, would otherwise
+    differ."""
+    if dataclasses.is_dataclass(a) and type(a) is type(b):
+        return all(_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and np.array_equal(a, b, equal_nan=True))
     if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-        return len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+        return len(a) == len(b) and all(map(_same, a, b))
     return a == b or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
-
-
-def _same_array(a, b) -> bool:
-    """``np.array_equal`` with NaN equal to NaN; None equals only None."""
-    if a is None or b is None:
-        return a is b
-    return np.array_equal(a, b, equal_nan=True)
 
 
 @dataclass(eq=False)
@@ -106,20 +115,7 @@ class IterationEvent:
     phi: Optional[float] = None
 
     def __eq__(self, other):
-        if not isinstance(other, IterationEvent):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and _same_array(self.x_before, other.x_before)
-            and _same_array(self.x_after, other.x_after)
-            and _same(
-                (self.delta_before, self.delta_after, self.rho, self.model_gradient_norm,
-                 self.f0_estimate, self.fs_estimate, self.evals_used_this_iter,
-                 self.success, self.flag, self.true_f_before, self.true_f_after, self.phi),
-                (other.delta_before, other.delta_after, other.rho, other.model_gradient_norm,
-                 other.f0_estimate, other.fs_estimate, other.evals_used_this_iter,
-                 other.success, other.flag, other.true_f_before, other.true_f_after, other.phi))
-        )
+        return _same(self, other) if isinstance(other, IterationEvent) else NotImplemented
 
 
 @dataclass
@@ -144,16 +140,7 @@ class RunRecord:
     x_checkpoints: List[tuple] = field(default_factory=list)  # (evals, x) for non-TR baselines
 
     def __eq__(self, other):
-        if not isinstance(other, RunRecord):
-            return NotImplemented
-        return (
-            _same((self.problem, self.variant, self.seed, self.eval_total, self.stop_reason,
-                   self.f_final_true, self.loss_trace),
-                  (other.problem, other.variant, other.seed, other.eval_total,
-                   other.stop_reason, other.f_final_true, other.loss_trace))
-            and _same_array(self.x_final, other.x_final)
-            and self.events == other.events
-        )
+        return _same(self, other) if isinstance(other, RunRecord) else NotImplemented
 
     def evals_to_reach(self, threshold: float, budget: Optional[int] = None) -> Optional[int]:
         """Noisy evaluations spent until the true f first drops below threshold.
@@ -183,8 +170,8 @@ def phi_monitor(f_value: float, delta: float, nu: float) -> float:
     return nu * f_value + (1.0 - nu) * delta**2
 
 
-def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
-        stop: StoppingRule, *, variant: str = "custom") -> RunRecord:
+def run(problem, components, solver, cfg: TrustRegionConfig, stop: StoppingRule, *,
+        variant: str = "custom") -> RunRecord:
     """Run the trust-region loop until the stopping rule fires. Every random
     draw comes from one generator seeded with ``cfg.seed``."""
     if problem.dimension < 1:
@@ -198,7 +185,8 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
     true_after = ref[0](state.x) if ref is not None else None
 
     while True:
-        if stop.budget is not None and problem.eval_count >= stop.budget:
+        state.budget_left = None if stop.budget is None else stop.budget - problem.eval_count
+        if state.budget_left is not None and state.budget_left <= 0:
             stop_reason = "budget"
             break
         if stop.max_iterations is not None and state.k >= stop.max_iterations:
@@ -218,14 +206,14 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
         fs = np.nan
         step = None
         try:
-            model = model_builder.build(problem, state, rng)
+            model = components.build(problem, state, rng)
         except (GeometryError, np.linalg.LinAlgError):
             model = None
             flag = "geometry"
         if model is not None:
             grad_norm = model.grad_norm
             step = solver(model, state.delta)
-            est: EstimatePair = estimator.estimate(problem, state, model, step, rng)
+            est: EstimatePair = components.estimate(problem, state, model, step, rng)
             f0, fs = est.f0, est.fs
             if step.model_decrease <= ZERO_DECREASE_REL_FLOOR * max(1.0, abs(f0)):
                 flag = "zero-decrease"
@@ -239,8 +227,8 @@ def run(problem, model_builder, estimator, solver, cfg: TrustRegionConfig,
         else:
             state.delta = state.delta / cfg.gamma
         trial = x_before + step.step if step is not None else x_before
-        if hasattr(model_builder, "update_after_iteration"):
-            model_builder.update_after_iteration(problem, state, trial, fs, success, rng)
+        if hasattr(components, "update_after_iteration"):
+            components.update_after_iteration(problem, state, trial, fs, success, rng)
 
         if success and ref is not None:  # a rejected step leaves state.x, and f, as they were
             true_after = ref[0](state.x)

@@ -173,11 +173,13 @@ def _lstsq(points: np.ndarray, center: np.ndarray, values: np.ndarray, degree: i
     return M, coef, rank, sv
 
 
-def _model(center: np.ndarray, coef: np.ndarray, degree: int, scale: float,
-           cap: Optional[float]) -> QuadraticModel:
-    """Unscale the coefficients of ``_lstsq`` into a model, its Hessian capped.
-    Both triangles of H come from one coefficient, so the uncapped H is
-    exactly symmetric."""
+def _model(center: np.ndarray, coef: np.ndarray, degree: int, scale: float) -> QuadraticModel:
+    """Unscale the coefficients of ``_lstsq`` into a model. Both triangles of
+    H come from one coefficient, so H is exactly symmetric.
+
+    Raises GeometryError when the value, gradient or Hessian is not finite:
+    a NaN or inf sample value, or a scale so small that unscaling
+    overflows."""
     n = center.size
     g = coef[1 : 1 + n] / scale
     H = np.zeros((n, n))
@@ -186,15 +188,9 @@ def _model(center: np.ndarray, coef: np.ndarray, degree: int, scale: float,
         i, j = _kernels.pair_indices(n)  # the pair order of quad_basis
         H[i, j] = H[j, i] = coef[1 + 2 * n :] / 2.0
         H /= scale**2
-    return QuadraticModel(center, float(coef[0]), g, _cap_hessian(H, cap))
-
-
-def _cap_hessian(H: np.ndarray, cap: Optional[float]) -> np.ndarray:
-    if cap is None:
-        return H
-    vals, vecs = np.linalg.eigh(H)
-    vals = np.clip(vals, -cap, cap)
-    return (vecs * vals) @ vecs.T
+    if not (np.isfinite(coef[0]) and np.isfinite(g).all() and np.isfinite(H).all()):
+        raise GeometryError("non-finite model")
+    return QuadraticModel(center, float(coef[0]), g, H)
 
 
 def estimate_poisedness(pset: PoisedSet, rng, n_samples: int = 100) -> float:
@@ -216,8 +212,7 @@ def estimate_poisedness(pset: PoisedSet, rng, n_samples: int = 100) -> float:
     return float(np.abs(lam).sum(axis=1).max())
 
 
-def fit_interpolation(pset: PoisedSet, values: Sequence[float],
-                      hessian_cap: Optional[float] = None) -> QuadraticModel:
+def fit_interpolation(pset: PoisedSet, values: Sequence[float]) -> QuadraticModel:
     """Interpolate the values exactly over a linear or quadratic poised set.
 
     Raises GeometryError when the scaled interpolation system has condition
@@ -236,11 +231,10 @@ def fit_interpolation(pset: PoisedSet, values: Sequence[float],
     _, coef, _, sv = _lstsq(pset.points, pset.center, values, degree, scale)
     if sv[-1] <= 0 or sv[0] / sv[-1] > COND_LIMIT:
         raise GeometryError("interpolation system is numerically singular")
-    return _model(pset.center, coef, degree, scale, hessian_cap)
+    return _model(pset.center, coef, degree, scale)
 
 
-def fit_regression(pset: PoisedSet, values: Sequence[float], degree: int,
-                   hessian_cap: Optional[float] = None) -> QuadraticModel:
+def fit_regression(pset: PoisedSet, values: Sequence[float], degree: int) -> QuadraticModel:
     """Least-squares fit of a degree-1 or degree-2 model over the set.
 
     Raises GeometryError when the basis matrix is rank-deficient, which
@@ -253,12 +247,11 @@ def fit_regression(pset: PoisedSet, values: Sequence[float], degree: int,
     M, coef, rank, _ = _lstsq(pset.points, pset.center, values, degree, scale)
     if rank < M.shape[1]:
         raise GeometryError("rank-deficient regression basis")
-    return _model(pset.center, coef, degree, scale, hessian_cap)
+    return _model(pset.center, coef, degree, scale)
 
 
 def fit_quadratic_set(points: np.ndarray, center: np.ndarray, values: Sequence[float],
-                      delta: float = 0.0,
-                      hessian_cap: Optional[float] = None) -> QuadraticModel:
+                      delta: float = 0.0) -> QuadraticModel:
     """Quadratic model through an arbitrary point set of size n+1..(n+1)(n+2)/2.
 
     With a full quadratic count this is plain interpolation; with fewer
@@ -281,7 +274,7 @@ def fit_quadratic_set(points: np.ndarray, center: np.ndarray, values: Sequence[f
     resid = np.abs(M @ coef - values).max(initial=0.0)
     if resid > 1e-7 * max(1.0, np.abs(values).max(initial=0.0)):
         raise GeometryError("inconsistent interpolation data")
-    return _model(center, coef, 2, scale, hessian_cap)
+    return _model(center, coef, 2, scale)
 
 
 def fit_gradient_taylor(x0, fbar: float, gbar, Hopt=None) -> QuadraticModel:

@@ -4,7 +4,9 @@ The objective family is f(x) = sum_i f_i(x)^2 over smooth components f_i,
 given as one residual callable returning the stacked f_i(x). Noise enters
 per component: multiplicative (1+w_i) factors, additive w_i offsets (w_i
 uniform on [-sigma, sigma]), or computation failures where a small component
-is replaced by a garbage value V with probability sigma.
+is replaced by a garbage value V with probability sigma (in the objective
+failure mode, the whole sum is replaced by V with probability sigma whenever
+any component is small).
 
 The oracle has two entry points over one noise core, ``_noisy_values``:
 
@@ -91,35 +93,6 @@ def _noisy_values(F: np.ndarray, noise: NoiseSpec, rng) -> np.ndarray:
         return out
     fail = small & (rng.uniform(size=F.shape) < sigma)
     return (np.where(fail, noise.garbage_value, F) ** 2).sum(axis=1)
-
-
-def _single(residual: Callable, noise: NoiseSpec, x, rng) -> float:
-    f = _component_values(residual, x)
-    return float(_noisy_values(f.reshape(1, -1), noise, rng)[0])
-
-
-def eval_multiplicative(residual: Callable, sigma: float, x, rng) -> float:
-    """sum((1 + w_i) f_i(x))^2 with w_i ~ U[-sigma, sigma], fresh per call."""
-    return _single(residual, NoiseSpec(kind="multiplicative", sigma=sigma), x, rng)
-
-
-def eval_additive(residual: Callable, sigma: float, x, rng) -> float:
-    """sum(f_i(x) + w_i)^2 with w_i ~ U[-sigma, sigma], fresh per call."""
-    return _single(residual, NoiseSpec(kind="additive", sigma=sigma), x, rng)
-
-
-def eval_failure(residual: Callable, sigma: float, epsilon: float, V: float,
-                 x, rng, mode: str = "component") -> float:
-    """Computation-failure oracle.
-
-    In component mode each component with |f_i(x)| < epsilon is independently
-    replaced by V with probability sigma before squaring. In objective mode
-    the whole sum of squares is replaced by V with probability sigma whenever
-    any component is below epsilon.
-    """
-    noise = NoiseSpec(kind="failure", sigma=sigma, epsilon=epsilon, garbage_value=V,
-                      failure_mode=mode)
-    return _single(residual, noise, x, rng)
 
 
 def per_s_to_sigma(p_s: float, m: int) -> float:

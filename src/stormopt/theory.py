@@ -118,6 +118,18 @@ def quadratic_worst_case_points(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
+def _worst_case_points(n: int, points: Optional[int]) -> int:
+    """``points``, defaulting to the quadratic count; ValueError unless n and
+    the point count are both at least 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if points is None:
+        points = quadratic_worst_case_points(n)
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
+    return points
+
+
 def failure_alpha_beta(sigma: float, n: int,
                        points: Optional[int] = None) -> Tuple[float, float]:
     """Worst-case model and estimate success probabilities under per-component
@@ -125,8 +137,7 @@ def failure_alpha_beta(sigma: float, n: int,
     alpha = ((1-sigma)^n)^points and beta = ((1-sigma)^n)^2."""
     if not 0 <= sigma <= 1:
         raise ValueError("sigma must lie in [0,1]")
-    if points is None:
-        points = quadratic_worst_case_points(n)
+    points = _worst_case_points(n, points)
     ok = 1.0 - sigma
     return (ok ** (n * points), ok ** (2 * n))
 
@@ -134,6 +145,5 @@ def failure_alpha_beta(sigma: float, n: int,
 def min_success_probability(n: int, points: Optional[int] = None) -> float:
     """Smallest per-component success probability 1-sigma for which the
     worst-case alpha*beta stays at least 1/2."""
-    if points is None:
-        points = quadratic_worst_case_points(n)
+    points = _worst_case_points(n, points)
     return 2.0 ** (-1.0 / (n * (points + 2)))

@@ -3,6 +3,11 @@ sample averaging (with optional full resampling), fresh-regression runs for
 unbiased noise, fresh-interpolation runs for computation-failure noise, a
 subsampled-Newton variant for logistic loss, and an Adagrad baseline.
 
+Each trust-region variant is one components class whose ``build``,
+``estimate`` and optional ``update_after_iteration`` the engine calls; one
+instance holds a run's state, such as the sample size ``build`` chose for
+``estimate`` to reuse.
+
 The runners are ``run_tr_saa(problem, cfg, resample=False, *, stop=None,
 solver=dogleg)`` and ``run_storm_unbiased``, ``run_storm_failure`` and
 ``run_storm_logistic(problem, cfg, *, [hessian=True,] stop=None,
@@ -13,7 +18,8 @@ solver=dogleg)``; ``stop`` defaults to a budget-only rule at ``cfg.budget``.
 Sample sizes come from ``P_MIN`` and the problem's dimension n; nothing else
 configures them:
     tr-saa / storm-unbiased : p_k = max(P_MIN + k, ceil(1/delta_k)), capped at
-                              the budget left
+                              the budget left, which the engine passes as
+                              ``state.budget_left``
     tr-saa / storm-failure  : at most quad_basis_size(n) set points; storm-failure
                               starts from that many, tr-saa from n + 1
     storm-logistic          : p_k = min(p_max, max(100 k + p0, ceil(1/delta_k^2)))
@@ -48,10 +54,6 @@ def _rate_linear(k: int, delta: float, budget_left: Optional[int] = None) -> int
     a tiny radius cannot overflow it."""
     cap = _NO_BUDGET_CAP if budget_left is None else max(1, budget_left)
     return min(cap, max(P_MIN + k, math.ceil(min(1.0 / delta, cap))))
-
-
-def _budget_left(problem, budget: Optional[int]) -> Optional[int]:
-    return None if budget is None else budget - problem.eval_count
 
 
 class _PersistentSet:
@@ -116,13 +118,12 @@ class TrSaaComponents:
     """Persistent interpolation set with incrementally averaged values; the
     center estimate doubles as f_k^0 and is interpolated by the model."""
 
-    def __init__(self, resample: bool, budget: Optional[int] = None):
+    def __init__(self, resample: bool):
         self.resample = resample
-        self.budget = budget
         self.pset: Optional[_PersistentSet] = None
 
     def build(self, problem, state, rng):
-        self._p_k = _rate_linear(state.k, state.delta, _budget_left(problem, self.budget))
+        self._p_k = _rate_linear(state.k, state.delta, state.budget_left)
         if self.pset is None:
             pts = initial_frame(state.x, state.delta, problem.dimension + 1, rng)
             self.pset = _PersistentSet(pts)
@@ -156,11 +157,8 @@ class StormUnbiasedComponents:
     """Fresh uniformly drawn regression set each iteration; estimates are
     sample averages independent of the model values."""
 
-    def __init__(self, budget: Optional[int] = None):
-        self.budget = budget
-
     def build(self, problem, state, rng):
-        self._p_k = _rate_linear(state.k, state.delta, _budget_left(problem, self.budget))
+        self._p_k = _rate_linear(state.k, state.delta, state.budget_left)
         pts = np.vstack([state.x[None, :],
                          sample_in_ball(state.x, state.delta, self._p_k - 1, rng)])
         values = np.array([problem.noisy_eval(p, rng) for p in pts])
@@ -237,23 +235,19 @@ def _default_stop(cfg: TrustRegionConfig, stop: Optional[StoppingRule]):
 
 def run_tr_saa(problem, cfg: TrustRegionConfig, resample: bool = False, *,
                stop: Optional[StoppingRule] = None, solver=dogleg) -> RunRecord:
-    stop = _default_stop(cfg, stop)
-    comp = TrSaaComponents(resample, budget=stop.budget)
-    return run(problem, comp, comp, solver, cfg, stop,
+    return run(problem, TrSaaComponents(resample), solver, cfg, _default_stop(cfg, stop),
                variant="tr-saa-resample" if resample else "tr-saa")
 
 
 def run_storm_unbiased(problem, cfg: TrustRegionConfig, *,
                        stop: Optional[StoppingRule] = None, solver=dogleg) -> RunRecord:
-    stop = _default_stop(cfg, stop)
-    comp = StormUnbiasedComponents(budget=stop.budget)
-    return run(problem, comp, comp, solver, cfg, stop, variant="storm-unbiased")
+    return run(problem, StormUnbiasedComponents(), solver, cfg, _default_stop(cfg, stop),
+               variant="storm-unbiased")
 
 
 def run_storm_failure(problem, cfg: TrustRegionConfig, *,
                       stop: Optional[StoppingRule] = None, solver=dogleg) -> RunRecord:
-    comp = StormFailureComponents()
-    return run(problem, comp, comp, solver, cfg, _default_stop(cfg, stop),
+    return run(problem, StormFailureComponents(), solver, cfg, _default_stop(cfg, stop),
                variant="storm-failure")
 
 
@@ -262,7 +256,7 @@ def run_storm_logistic(problem: LogisticProblem, cfg: TrustRegionConfig, *,
                        solver=dogleg) -> RunRecord:
     comp = StormLogisticComponents(p0=problem.dimension + 1,
                                    p_max=problem.train.n_samples, hessian=hessian)
-    return run(problem, comp, comp, solver, cfg, _default_stop(cfg, stop),
+    return run(problem, comp, solver, cfg, _default_stop(cfg, stop),
                variant="storm-logistic" if hessian else "storm-logistic-h0")
 
 

@@ -85,6 +85,11 @@ def test_non_finite_sigma_is_usage_error(capsys):
     # an infinite radius used to make the run loop forever
     ("run", "--variant", "tr-saa", "--problem", "simple-quad-2",
      "--delta0", "inf", "--delta-max", "inf"),
+    # n = 0 used to raise ZeroDivisionError, and n = -1 to print a
+    # "probability" above 1
+    ("theory", "--n", "0"),
+    ("theory", "--n", "-1"),
+    ("theory", "--n", "-1", "--success-prob", "0.9"),
 ])
 def test_bad_counts_and_tolerances_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -24,6 +24,10 @@ class SingleDrawEstimator:
                             fs=problem.noisy_eval(state.x + step.step, rng))
 
 
+class ExactModelSingleDraws(ExactQuadraticBuilder, SingleDrawEstimator):
+    """The components ``run`` takes: an exact model and single-draw estimates."""
+
+
 def norm_problem(n=2):
     spec_like = get_problem("simple-quad-2")  # reuse the class plumbing
     from stormopt.oracles import StochasticProblem
@@ -73,8 +77,8 @@ def test_exact_model_every_iteration_rho_one_and_gradient_to_zero():
     problem = norm_problem(2)
     cfg = TrustRegionConfig(delta0=1.0, delta_max=10.0, gamma=2.0, eta1=0.1,
                             eta2=0.0, budget=10_000, seed=0)
-    rec = run(problem, ExactQuadraticBuilder(), SingleDrawEstimator(), dogleg,
-              cfg, StoppingRule(budget=10_000, max_iterations=200))
+    rec = run(problem, ExactModelSingleDraws(), dogleg, cfg,
+              StoppingRule(budget=10_000, max_iterations=200))
     grads = []
     for ev in rec.events:
         if ev.model_gradient_norm > 0 and ev.flag is None:
@@ -87,18 +91,17 @@ def test_exact_model_every_iteration_rho_one_and_gradient_to_zero():
 
 def test_injected_estimates_rho_definition():
     # one iteration with f0 = 1.0, fs = 0.5 and model decrease 0.5 -> rho = 1
-    class OneStepBuilder:
+    class OneStepInjected:
         def build(self, problem, state, rng):
             return QuadraticModel(state.x.copy(), 1.0, np.array([1.0, 0.0]),
                                   np.zeros((2, 2)))
 
-    class InjectedEstimator:
         def estimate(self, problem, state, model, step, rng):
             return EstimatePair(f0=1.0, fs=1.0 - step.model_decrease)
 
     problem = norm_problem(2)
     cfg = TrustRegionConfig(delta0=0.5, eta2=0.001, budget=10, seed=0)
-    rec = run(problem, OneStepBuilder(), InjectedEstimator(), dogleg, cfg,
+    rec = run(problem, OneStepInjected(), dogleg, cfg,
               StoppingRule(budget=10, max_iterations=1))
     ev = rec.events[0]
     assert ev.rho == pytest.approx(1.0)
@@ -106,13 +109,13 @@ def test_injected_estimates_rho_definition():
 
 
 def test_unsuccessful_iteration_radius_and_point():
-    class BadEstimator:
+    class BadEstimator(ExactQuadraticBuilder):
         def estimate(self, problem, state, model, step, rng):
             return EstimatePair(f0=0.0, fs=10.0)  # rho < 0
 
     problem = norm_problem(2)
     cfg = TrustRegionConfig(delta0=0.8, gamma=2.0, budget=10, seed=0)
-    rec = run(problem, ExactQuadraticBuilder(), BadEstimator(), dogleg, cfg,
+    rec = run(problem, BadEstimator(), dogleg, cfg,
               StoppingRule(budget=10, max_iterations=1))
     ev = rec.events[0]
     assert not ev.success
@@ -137,26 +140,26 @@ def test_update_coupling_invariant():
 
 @pytest.mark.parametrize("error", [GeometryError, np.linalg.LinAlgError])
 def test_geometry_failure_flagged_and_shrinks(error):
-    class FailingBuilder:
+    class FailingBuilder(SingleDrawEstimator):
         def build(self, problem, state, rng):
             raise error("forced")
 
     problem = norm_problem(2)
     cfg = TrustRegionConfig(delta0=1.0, budget=10, seed=0)
-    rec = run(problem, FailingBuilder(), SingleDrawEstimator(), dogleg, cfg,
+    rec = run(problem, FailingBuilder(), dogleg, cfg,
               StoppingRule(budget=10, max_iterations=3))
     assert [ev.flag for ev in rec.events] == ["geometry"] * 3
     assert rec.events[0].delta_after == pytest.approx(0.5)
 
 
 def test_zero_decrease_flagged():
-    class FlatBuilder:
+    class FlatBuilder(SingleDrawEstimator):
         def build(self, problem, state, rng):
             return QuadraticModel(state.x.copy(), 1.0, np.zeros(2), np.zeros((2, 2)))
 
     problem = norm_problem(2)
     cfg = TrustRegionConfig(budget=10, seed=0)
-    rec = run(problem, FlatBuilder(), SingleDrawEstimator(), dogleg, cfg,
+    rec = run(problem, FlatBuilder(), dogleg, cfg,
               StoppingRule(budget=10, max_iterations=1))
     assert rec.events[0].flag == "zero-decrease"
     assert rec.events[0].rho is None
@@ -178,20 +181,20 @@ def test_budget_stop_and_overshoot_bound():
 def test_target_stop():
     problem = norm_problem(2)
     cfg = TrustRegionConfig(budget=1_000, eta2=0.0, seed=0)
-    rec = run(problem, ExactQuadraticBuilder(), SingleDrawEstimator(), dogleg, cfg,
+    rec = run(problem, ExactModelSingleDraws(), dogleg, cfg,
               StoppingRule(budget=1_000, target_f=1e-8))
     assert rec.stop_reason == "target"
     assert rec.f_final_true < 1e-8
 
 
 def test_delta_floor_stop():
-    class NeverAccept:
+    class NeverAccept(ExactQuadraticBuilder):
         def estimate(self, problem, state, model, step, rng):
             return EstimatePair(f0=0.0, fs=1.0)
 
     problem = norm_problem(2)
     cfg = TrustRegionConfig(budget=10**6, seed=0)
-    rec = run(problem, ExactQuadraticBuilder(), NeverAccept(), dogleg, cfg,
+    rec = run(problem, NeverAccept(), dogleg, cfg,
               StoppingRule(budget=10**6, delta_floor=1e-6))
     assert rec.stop_reason == "delta-floor"
     assert rec.events[-1].delta_after < 1e-6
@@ -222,7 +225,7 @@ def test_different_seeds_differ():
 def test_radius_square_sums_converge_with_exact_models():
     problem = norm_problem(2)
     cfg = TrustRegionConfig(budget=10**6, eta2=0.0, seed=0)
-    rec = run(problem, ExactQuadraticBuilder(), SingleDrawEstimator(), dogleg, cfg,
+    rec = run(problem, ExactModelSingleDraws(), dogleg, cfg,
               StoppingRule(budget=10**6, max_iterations=400))
     d2 = np.array([ev.delta_before**2 for ev in rec.events])
     total = d2.sum()
@@ -233,7 +236,7 @@ def test_radius_square_sums_converge_with_exact_models():
 def test_noiseless_exact_models_f_nonincreasing_on_successes():
     problem = norm_problem(3)
     cfg = TrustRegionConfig(budget=10**6, eta2=0.0, seed=0)
-    rec = run(problem, ExactQuadraticBuilder(), SingleDrawEstimator(), dogleg, cfg,
+    rec = run(problem, ExactModelSingleDraws(), dogleg, cfg,
               StoppingRule(budget=10**6, max_iterations=100))
     fs = [ev.true_f_after for ev in rec.events if ev.success]
     assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
@@ -250,7 +253,7 @@ def test_eval_accounting_matches_event_sum():
 def test_phi_recorded_with_reference():
     problem = norm_problem(2)
     cfg = TrustRegionConfig(budget=100, eta2=0.0, seed=0)
-    rec = run(problem, ExactQuadraticBuilder(), SingleDrawEstimator(), dogleg, cfg,
+    rec = run(problem, ExactModelSingleDraws(), dogleg, cfg,
               StoppingRule(budget=100, max_iterations=5))
     for ev in rec.events:
         assert ev.phi == pytest.approx(0.5 * ev.true_f_after + 0.5 * ev.delta_after**2)
@@ -296,3 +299,20 @@ def test_pickled_flagged_record_equals_original():
     assert copy == rec
     copy.events[flagged[0]].fs_estimate = 1.0
     assert copy != rec  # a NaN still differs from a number
+
+
+def test_records_differing_in_one_checkpoint_compare_unequal():
+    # every field counts, x_checkpoints too, and arrays inside tuples are
+    # compared element by element
+    import pickle
+
+    from stormopt.logistic import make_synthetic
+    from stormopt.variants import run_adagrad
+
+    rec = run_adagrad(make_synthetic(200, 2, seed=9), step0=1.0, batch=10, budget=200,
+                      lam=1e-4, seed=0)
+    assert len(rec.x_checkpoints) > 2
+    copy = pickle.loads(pickle.dumps(rec))
+    assert copy == rec
+    copy.x_checkpoints[1][1][0] += 1.0
+    assert copy != rec

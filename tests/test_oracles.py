@@ -3,7 +3,6 @@ import pytest
 
 from stormopt.oracles import (NoiseSpec, StochasticProblem, averaged_estimate,
                               chebyshev_gradient_sample_size, chebyshev_sample_size,
-                              eval_additive, eval_failure, eval_multiplicative,
                               per_s_to_sigma)
 from stormopt.problems import builtin_suite, get_problem
 
@@ -16,6 +15,11 @@ def zero_component(x):
     return np.array([0.0])
 
 
+def noisy_problem(residual, n, **noise):
+    """A problem with ``residual`` in n variables under ``NoiseSpec(**noise)``."""
+    return StochasticProblem("oracle-test", n, residual, np.zeros(n), noise=NoiseSpec(**noise))
+
+
 # -------------------------------------------------------- multiplicative noise
 
 def test_multiplicative_degenerate_sigma():
@@ -23,13 +27,15 @@ def test_multiplicative_degenerate_sigma():
     spec = get_problem("rosenbrock-2")
     x = spec.x0
     exact = float(np.sum(spec.residual(x) ** 2))
-    val = eval_multiplicative(spec.residual, 1e-12, x, rng)
+    prob = noisy_problem(spec.residual, spec.n, kind="multiplicative", sigma=1e-12)
+    val = prob.noisy_eval(x, rng)
     assert abs(val - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
 def test_multiplicative_range_single_unit_component():
     rng = np.random.default_rng(1)
-    vals = [eval_multiplicative(one_component, 0.5, np.zeros(1), rng) for _ in range(2000)]
+    prob = noisy_problem(one_component, 1, kind="multiplicative", sigma=0.5)
+    vals = [prob.noisy_eval(np.zeros(1), rng) for _ in range(2000)]
     assert min(vals) >= 0.25 - 1e-12
     assert max(vals) <= 2.25 + 1e-12
 
@@ -50,13 +56,15 @@ def test_additive_degenerate_sigma():
     rng = np.random.default_rng(3)
     spec = get_problem("beale-2")
     exact = float(np.sum(spec.residual(spec.x0) ** 2))
-    val = eval_additive(spec.residual, 1e-12, spec.x0, rng)
+    prob = noisy_problem(spec.residual, spec.n, kind="additive", sigma=1e-12)
+    val = prob.noisy_eval(spec.x0, rng)
     assert abs(val - exact) <= 1e-9
 
 
 def test_additive_range_zero_component():
     rng = np.random.default_rng(4)
-    vals = [eval_additive(zero_component, 1.0, np.zeros(1), rng) for _ in range(2000)]
+    prob = noisy_problem(zero_component, 1, kind="additive", sigma=1.0)
+    vals = [prob.noisy_eval(np.zeros(1), rng) for _ in range(2000)]
     assert min(vals) >= 0.0
     assert max(vals) <= 1.0
 
@@ -75,28 +83,35 @@ def test_failure_sigma_zero_is_exact():
     rng = np.random.default_rng(6)
     spec = get_problem("powell-4")
     exact = float(np.sum(spec.residual(spec.x0) ** 2))
-    assert eval_failure(spec.residual, 0.0, 0.1, -10000.0, spec.x0, rng) == exact
+    prob = noisy_problem(spec.residual, spec.n, kind="failure", sigma=0.0, epsilon=0.1,
+                         garbage_value=-10000.0)
+    assert prob.noisy_eval(spec.x0, rng) == exact
 
 
 def test_failure_certain_corruption_gives_m_v_squared():
     rng = np.random.default_rng(7)
     comp = lambda x: np.zeros(5)  # all |f_i| < eps
-    val = eval_failure(comp, 1.0, 0.1, -10000.0, np.zeros(2), rng)
+    prob = noisy_problem(comp, 2, kind="failure", sigma=1.0, epsilon=0.1,
+                         garbage_value=-10000.0)
+    val = prob.noisy_eval(np.zeros(2), rng)
     assert val == pytest.approx(5 * 10000.0**2)
 
 
 def test_failure_large_components_never_corrupted():
     rng = np.random.default_rng(8)
     comp = lambda x: np.array([5.0, -7.0])
+    prob = noisy_problem(comp, 1, kind="failure", sigma=1.0, epsilon=0.1,
+                         garbage_value=-10000.0)
     for _ in range(200):
-        assert eval_failure(comp, 1.0, 0.1, -10000.0, np.zeros(1), rng) == 74.0
+        assert prob.noisy_eval(np.zeros(1), rng) == 74.0
 
 
 def test_failure_objective_mode_switch():
     rng = np.random.default_rng(9)
     comp = lambda x: np.array([0.01, 5.0])
-    vals = {eval_failure(comp, 1.0, 0.1, -10000.0, np.zeros(1), rng, mode="objective")
-            for _ in range(10)}
+    prob = noisy_problem(comp, 1, kind="failure", sigma=1.0, epsilon=0.1,
+                         garbage_value=-10000.0, failure_mode="objective")
+    vals = {prob.noisy_eval(np.zeros(1), rng) for _ in range(10)}
     assert vals == {-10000.0}
 
 
@@ -111,12 +126,14 @@ def test_failure_all_exact_probability():
     m, npts, sigma = 3, 4, 0.05
     comp = lambda x: np.full(m, 0.01)
     exact_val = m * 0.01**2
+    prob = noisy_problem(comp, 1, kind="failure", sigma=sigma, epsilon=0.1,
+                         garbage_value=-10000.0)
     trials = 10_000
     hits = 0
     for _ in range(trials):
         ok = True
         for _ in range(npts):
-            if eval_failure(comp, sigma, 0.1, -10000.0, np.zeros(1), rng) != exact_val:
+            if prob.noisy_eval(np.zeros(1), rng) != exact_val:
                 ok = False
         if ok:
             hits += 1
@@ -131,8 +148,9 @@ def test_failure_bias_demonstration():
     rng = np.random.default_rng(11)
     comp = lambda x: np.array([0.05])
     true_f = 0.05**2
-    draws = np.array([eval_failure(comp, 0.01, 0.1, -10000.0, np.zeros(1), rng)
-                      for _ in range(20_000)])
+    prob = noisy_problem(comp, 1, kind="failure", sigma=0.01, epsilon=0.1,
+                         garbage_value=-10000.0)
+    draws = np.array([prob.noisy_eval(np.zeros(1), rng) for _ in range(20_000)])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - true_f) > 10.0 * se
 

@@ -98,6 +98,15 @@ def test_min_success_probability_solver():
     assert a * b == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, points", [(0, None), (-1, None), (2, 0), (2, -3)])
+def test_failure_probabilities_need_a_positive_dimension_and_point_count(n, points):
+    # n = 0 used to divide by zero, and n = -1 to give a "probability" above 1
+    with pytest.raises(ValueError):
+        min_success_probability(n, points)
+    with pytest.raises(ValueError):
+        failure_alpha_beta(0.01, n, points)
+
+
 def test_check_probabilities_conditions():
     tc = standard()
     res = check_probabilities(tc, 0.999, 0.999)

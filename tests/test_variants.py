@@ -122,6 +122,58 @@ def test_rates_equal_the_uncapped_rules_wherever_those_did_not_raise():
     assert compared and raised  # both kinds of radius were seen
 
 
+@pytest.mark.parametrize("budget", [300, None])
+@pytest.mark.parametrize("runner", [
+    run_tr_saa, run_storm_unbiased,
+    # components run directly get the budget from the engine, not from a runner
+    lambda problem, cfg, stop: run(problem, TrSaaComponents(resample=True), dogleg, cfg, stop),
+], ids=["tr-saa", "storm-unbiased", "direct"])
+def test_sample_rate_sees_the_engines_budget_left(monkeypatch, runner, budget):
+    problem = problem_with(noise=NoiseSpec(kind="additive", sigma=0.1))
+    seen = []
+    rate = variants._rate_linear
+
+    def spy_rate(k, delta, budget_left=None):
+        seen.append((budget_left, problem.eval_count))
+        return rate(k, delta, budget_left)
+    monkeypatch.setattr(variants, "_rate_linear", spy_rate)
+    stop = StoppingRule(budget=budget, max_iterations=None if budget else 30)
+    rec = runner(problem, TrustRegionConfig(budget=1_000, seed=0), stop=stop)
+    assert len(seen) == len(rec.events)  # one rate per build, one build per iteration
+    for left, spent in seen:
+        assert left == (None if budget is None else budget - spent)
+
+
+def _every_37th(residual, value):
+    """``residual`` with every 37th call's values replaced by ``value``."""
+    calls = [0]
+
+    def hostile(x):
+        calls[0] += 1
+        out = np.asarray(residual(x), dtype=float)
+        return np.full_like(out, value) if calls[0] % 37 == 0 else out
+    return hostile
+
+
+@pytest.mark.parametrize("hostile", ["nan", "inf", "delta0=1e-320"])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_hostile_input_leaves_no_unflagged_non_finite_model(name, hostile):
+    delta0 = 1.0
+    if hostile == "delta0=1e-320":
+        # unscaling a model fitted at this radius overflows to inf and NaN
+        delta0 = 1e-320
+        problem = problem_with("simple-quad-2")
+    else:
+        problem = problem_with("rosenbrock-2", NoiseSpec(kind="multiplicative", sigma=1e-3))
+        problem.residual = _every_37th(problem.residual, float(hostile))
+    cfg = TrustRegionConfig(delta0=delta0, budget=3_000, seed=1)
+    with np.errstate(all="ignore"):
+        rec = REGISTRY[name](problem, cfg, StoppingRule(budget=3_000))
+    assert rec.events
+    for ev in rec.events:
+        assert ev.flag is not None or np.isfinite(ev.model_gradient_norm), ev.k
+
+
 # ------------------------------------------------------------ phase ordering
 
 def iteration_phases(log):
@@ -270,7 +322,7 @@ def test_eviction_respects_cap_and_furthest_rule(monkeypatch):
     problem = problem_with(noise=NoiseSpec(kind="failure", sigma=0.3, epsilon=10.0))
     comp = StormFailureComponents()
     cfg = TrustRegionConfig(budget=600, seed=2)
-    run(problem, comp, comp, dogleg, cfg, StoppingRule(budget=600), variant="storm-failure")
+    run(problem, comp, dogleg, cfg, StoppingRule(budget=600), variant="storm-failure")
     assert len(comp.pset) <= 6  # the quadratic count for n = 2
     assert evictions  # at least one eviction happened
     for evicted, grown, center in evictions:
@@ -295,7 +347,7 @@ def test_tr_saa_center_estimate_is_interpolated_by_model():
     problem = problem_with(noise=NoiseSpec(kind="additive", sigma=0.1))
     cfg = TrustRegionConfig(budget=500, seed=6)
     comp = Instrumented(resample=False)
-    run(problem, comp, comp, dogleg, cfg, StoppingRule(budget=500), variant="tr-saa")
+    run(problem, comp, dogleg, cfg, StoppingRule(budget=500), variant="tr-saa")
     assert comp.checks
     for m_at_center, f0 in comp.checks:
         assert m_at_center == pytest.approx(f0, rel=1e-6, abs=1e-9)
@@ -306,7 +358,7 @@ def test_eviction_never_removes_center(monkeypatch):
     problem = problem_with(noise=NoiseSpec(kind="additive", sigma=0.05))
     comp = TrSaaComponents(resample=False)
     cfg = TrustRegionConfig(budget=800, seed=4)
-    run(problem, comp, comp, dogleg, cfg, StoppingRule(budget=800), variant="tr-saa")
+    run(problem, comp, dogleg, cfg, StoppingRule(budget=800), variant="tr-saa")
     assert evictions
     for evicted, _, c in evictions:
         assert np.linalg.norm(evicted - c) > 0  # never the center itself
@@ -404,7 +456,7 @@ def test_tr_saa_zero_noise_matches_deterministic_interpolation_tr():
             return super().build(problem, state, rng)
 
     comp = NPlusOneStart()
-    rec2 = run(problem_with("simple-quad-2"), comp, comp, dogleg, cfg, stop)
+    rec2 = run(problem_with("simple-quad-2"), comp, dogleg, cfg, stop)
     for e1, e2 in zip(rec1.events, rec2.events):
         np.testing.assert_allclose(e1.x_after, e2.x_after, atol=1e-12)
         assert e1.delta_after == pytest.approx(e2.delta_after, abs=1e-15)
@@ -426,7 +478,7 @@ def test_full_batch_logistic_equals_deterministic_newton_tr():
     comp = StormLogisticComponents(p0=20, p_max=20)  # every sample is the full batch
     cfg = TrustRegionConfig(budget=10**9, seed=0)
     stop = StoppingRule(budget=10**9, max_iterations=15)
-    rec = run(problem, comp, comp, dogleg, cfg, stop)
+    rec = run(problem, comp, dogleg, cfg, stop)
 
     # reference: exact trust-region Newton on the true loss, same update rules
     x = problem.x0.copy()
