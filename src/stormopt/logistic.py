@@ -97,8 +97,8 @@ def train_test_split(ds: Dataset, test_fraction: float = 0.05,
     perm = rng.permutation(ds.n_samples)
     n_train = int(np.floor((1.0 - test_fraction) * ds.n_samples))
     tr, te = perm[:n_train], perm[n_train:]
-    return (Dataset(ds.features[tr], ds.labels[tr], ds.name + ":train"),
-            Dataset(ds.features[te], ds.labels[te], ds.name + ":test"))
+    return (Dataset(ds.features.take(tr, axis=0), ds.labels.take(tr), ds.name + ":train"),
+            Dataset(ds.features.take(te, axis=0), ds.labels.take(te), ds.name + ":test"))
 
 
 def make_synthetic(n_samples: int = 2000, n_features: int = 10, seed: int = 0,
@@ -190,14 +190,18 @@ class LogisticProblem:
         self.eval_count += p
         return rng.choice(self.train.n_samples, size=p, replace=False)
 
+    def rows(self, idx: np.ndarray):
+        """The training rows ``idx``: X[idx] and y[idx], gathered by ``take``,
+        which copies the same values in about half the time."""
+        return self.train.features.take(idx, axis=0), self.train.labels.take(idx)
+
     def sampled_loss(self, idx: np.ndarray, x) -> float:
         w, beta = self._split(x)
-        return logistic_value(self.train.features[idx], self.train.labels[idx],
-                              w, beta, self.lam)
+        return logistic_value(*self.rows(idx), w, beta, self.lam)
 
     def sampled_loss_grad_hess(self, idx: np.ndarray, x, want_hessian: bool):
         w, beta = self._split(x)
-        X, y = self.train.features[idx], self.train.labels[idx]
+        X, y = self.rows(idx)
         loss, grad = logistic_value_grad(X, y, w, beta, self.lam)
         hess = logistic_hessian(X, y, w, beta, self.lam) if want_hessian else None
         return loss, grad, hess

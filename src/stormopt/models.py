@@ -181,13 +181,16 @@ def _model(center: np.ndarray, coef: np.ndarray, degree: int, scale: float) -> Q
     a NaN or inf sample value, or a scale so small that unscaling
     overflows."""
     n = center.size
-    g = coef[1 : 1 + n] / scale
     H = np.zeros((n, n))
-    if degree == 2:
-        H[np.diag_indices(n)] = coef[1 + n : 1 + 2 * n]
-        i, j = _kernels.pair_indices(n)  # the pair order of quad_basis
-        H[i, j] = H[j, i] = coef[1 + 2 * n :] / 2.0
-        H /= scale**2
+    # a subnormal scale overflows, or underflows scale**2 to 0; the check
+    # below rejects what that leaves, so numpy need not warn about it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = coef[1 : 1 + n] / scale
+        if degree == 2:
+            H[np.diag_indices(n)] = coef[1 + n : 1 + 2 * n]
+            i, j = _kernels.pair_indices(n)  # the pair order of quad_basis
+            H[i, j] = H[j, i] = coef[1 + 2 * n :] / 2.0
+            H /= scale**2
     if not (np.isfinite(coef[0]) and np.isfinite(g).all() and np.isfinite(H).all()):
         raise GeometryError("non-finite model")
     return QuadraticModel(center, float(coef[0]), g, H)

@@ -27,32 +27,35 @@ def _spectral_norm(H: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(H)).max())
 
 
-def _certify(model: QuadraticModel, step: np.ndarray, delta: float) -> StepResult:
+def _certify(model: QuadraticModel, step: np.ndarray, delta: float, hn: float) -> StepResult:
+    """The certificate of a step from a model with a nonzero gradient, given
+    hn = ||H||."""
     gn = model.grad_norm
     decrease = model.decrease(step)
-    if gn == 0.0:
-        return StepResult(step, decrease, 0.0, 1.0)
-    hn = _spectral_norm(model.hessian)
     radius_term = min(gn / hn, delta) if hn > 0 else delta
     full_bound = 0.5 * gn * radius_term  # certificate with fraction 1
     kappa = min(1.0, decrease / full_bound) if full_bound > 0 else 1.0
     return StepResult(step, decrease, kappa * full_bound, kappa)
 
 
-def cauchy_point(model: QuadraticModel, delta: float) -> StepResult:
-    """Exact minimizer of the model along -g within the ball."""
+def _cauchy_step(model: QuadraticModel, delta: float) -> np.ndarray:
+    """The minimizer along -g within the ball, for a nonzero gradient."""
     g = model.gradient
     gn = model.grad_norm
-    n = model.dim
-    if gn == 0.0:
-        return StepResult(np.zeros(n), 0.0, 0.0, 1.0)
     d = -g / gn
     curv = float(g @ model.hessian @ g) / gn**2  # m(t d) = f0 - t gn + t^2 curv
     if curv <= 0:
         t = delta
     else:
         t = min(delta, gn / (2.0 * curv))
-    return _certify(model, t * d, delta)
+    return t * d
+
+
+def cauchy_point(model: QuadraticModel, delta: float) -> StepResult:
+    """Exact minimizer of the model along -g within the ball."""
+    if model.grad_norm == 0.0:
+        return StepResult(np.zeros(model.dim), 0.0, 0.0, 1.0)
+    return _certify(model, _cauchy_step(model, delta), delta, _spectral_norm(model.hessian))
 
 
 def _clip_to_ball(s: np.ndarray, delta: float) -> np.ndarray:
@@ -67,9 +70,10 @@ def dogleg(model: QuadraticModel, delta: float) -> StepResult:
     otherwise; never returns less decrease than the Cauchy point."""
     g = model.gradient
     gn = model.grad_norm
-    cp = cauchy_point(model, delta)
     if gn == 0.0:
-        return cp
+        return cauchy_point(model, delta)
+    hn = _spectral_norm(model.hessian)  # one norm for both certificates
+    cp = _certify(model, _cauchy_step(model, delta), delta, hn)
     B = 2.0 * model.hessian
     candidate = None
     try:
@@ -96,7 +100,7 @@ def dogleg(model: QuadraticModel, delta: float) -> StepResult:
     if candidate is None:
         return cp
     candidate = _clip_to_ball(candidate, delta)
-    result = _certify(model, candidate, delta)
+    result = _certify(model, candidate, delta, hn)
     if result.model_decrease < cp.model_decrease:
         return cp
     return result

@@ -297,17 +297,27 @@ def run_adagrad(dataset: Dataset, step0: float = 1.0, batch: int = 10,
     if record_every is None:
         record_every = max(1, budget // 50)
     x = problem.x0.copy()
+    w = x[:-1]  # a view: the steps update x in place
+    two_lam = 2.0 * problem.lam
     acc = np.zeros_like(x)
+    den = np.empty_like(x)
     record = RunRecord(problem=problem.name, variant="adagrad", seed=seed)
     record.loss_trace.append((0, problem.true_f(x)))
     record.x_checkpoints.append((0, x.copy()))
     next_record = record_every
     while problem.eval_count < budget:
         idx = problem.draw_sample(batch, rng)
-        _, grad, _ = problem.sampled_loss_grad_hess(idx, x, want_hessian=False)
-        if np.any(grad):
+        # the gradient of problem.sampled_loss_grad_hess, without its loss
+        grad = _kernels.logistic_grad(*problem.rows(idx), w, x[-1])
+        grad /= idx.size
+        grad[:-1] += two_lam * w
+        if grad.any():
             acc += grad**2
-            x -= step0 * grad / (np.sqrt(acc) + 1e-8)
+            grad *= step0
+            np.sqrt(acc, out=den)
+            den += 1e-8
+            grad /= den
+            x -= grad
         if problem.eval_count >= next_record:
             record.loss_trace.append((problem.eval_count, problem.true_f(x)))
             record.x_checkpoints.append((problem.eval_count, x.copy()))

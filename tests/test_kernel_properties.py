@@ -1,5 +1,6 @@
-"""Property test of the loss-only logistic kernel against the loss of the
-loss-and-gradient kernel. Kept apart from test_kernels.py so that file runs
+"""Property tests of the logistic kernels: the loss-only kernel against the
+loss of the loss-and-gradient kernel, and every kernel against the first
+full-array formulas. Kept apart from test_kernels.py so that file runs
 without hypothesis."""
 
 import numpy as np
@@ -9,7 +10,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from stormopt._kernels import logistic_loss, logistic_sums  # noqa: E402
+import reference_logistic as ref  # noqa: E402
+from stormopt._kernels import logistic_grad, logistic_loss, logistic_sums  # noqa: E402
 
 
 @st.composite
@@ -27,3 +29,14 @@ def test_logistic_loss_equals_the_loss_of_logistic_sums(case):
     X, y, w, beta = case
     got, want = logistic_loss(X, y, w, beta), logistic_sums(X, y, w, beta)[0]
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(logistic_cases())
+def test_logistic_kernels_equal_the_first_formulas(case):
+    X, y, w, beta = case
+    loss, grad = logistic_sums(X, y, w, beta)
+    want_loss, want_grad = ref.logistic_sums(X, y, w, beta)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert logistic_grad(X, y, w, beta).tobytes() == want_grad.tobytes()

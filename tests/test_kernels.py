@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import reference_logistic as ref
 from stormopt import _kernels
-from stormopt._kernels import (logistic_hess, logistic_loss, logistic_sums, quad_basis,
-                               quad_basis_size)
+from stormopt._kernels import (logistic_grad, logistic_hess, logistic_loss, logistic_sums,
+                               quad_basis, quad_basis_size)
 
 
 def test_quad_basis_size():
@@ -83,6 +84,64 @@ def test_logistic_loss_matches_sums_at_zero_and_huge_margins(X, y, w, beta):
     assert _same_bits(got, logistic_sums(X, y, w, beta)[0])
     t = y * (X @ w + beta)
     assert got == pytest.approx(np.logaddexp(0.0, -t).sum(), rel=1e-15)
+
+
+def _labelled(rng, N, m):
+    X = rng.standard_normal((N, m))
+    return X, np.where(rng.uniform(size=N) < 0.5, -1.0, 1.0)
+
+
+B = _kernels.LOSS_BLOCK
+
+
+@pytest.mark.parametrize("N", [1, B - 1, B, B + 1, 3 * B + 5])
+def test_block_wise_loss_equals_the_full_array_formula(N):
+    rng = np.random.default_rng(N)
+    X, y = _labelled(rng, N, 7)
+    for scale in (0.0, 1.0, 30.0):
+        w, beta = scale * rng.standard_normal(7), scale * rng.standard_normal()
+        assert _same_bits(logistic_loss(X, y, w, beta), ref.logistic_loss(X, y, w, beta))
+
+
+def test_block_wise_loss_on_a_wide_matrix_and_other_layouts():
+    rng = np.random.default_rng(5)
+    X, y = _labelled(rng, 2 * B + 3, 50)
+    w = 0.3 * rng.standard_normal(50)
+    assert _same_bits(logistic_loss(X, y, w, 0.2), ref.logistic_loss(X, y, w, 0.2))
+    for other in (np.asfortranarray(X), X[:, ::2]):
+        got = logistic_loss(other, y, w[: other.shape[1]], 0.2)
+        assert _same_bits(got, ref.logistic_loss(other, y, w[: other.shape[1]], 0.2))
+
+
+@pytest.mark.parametrize("X, y, w, beta", [
+    (np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]), np.array([0.5, -2.0]), 0.0),
+    (np.array([[1.0], [2.0]]), np.array([-1.0, -1.0]), np.array([0.0]), 0.0),
+    (np.array([[800.0], [-800.0], [710.0], [-745.5]]), np.ones(4), np.array([1.0]), 0.0),
+    (np.array([[1.0], [1.0]]), np.array([1.0, -1.0]), np.array([1e3]), -300.0),
+])
+def test_logistic_kernels_equal_the_first_formulas_at_edge_margins(X, y, w, beta):
+    loss, grad = logistic_sums(X, y, w, beta)
+    want_loss, want_grad = ref.logistic_sums(X, y, w, beta)
+    assert _same_bits(loss, want_loss)
+    assert grad.tobytes() == want_grad.tobytes()
+    assert logistic_grad(X, y, w, beta).tobytes() == want_grad.tobytes()
+    assert _same_bits(logistic_loss(X, y, w, beta), ref.logistic_loss(X, y, w, beta))
+    assert logistic_hess(X, y, w, beta).tobytes() == ref.logistic_hess(X, y, w, beta).tobytes()
+
+
+def test_logistic_kernels_equal_the_first_formulas_on_random_data():
+    rng = np.random.default_rng(6)
+    for N, m in ((1, 1), (10, 3), (10, 50), (2000, 10), (500, 50)):
+        X, y = _labelled(rng, N, m)
+        for scale in (0.0, 0.1, 1.0, 30.0):
+            w, beta = scale * rng.standard_normal(m), scale * rng.standard_normal()
+            loss, grad = logistic_sums(X, y, w, beta)
+            want_loss, want_grad = ref.logistic_sums(X, y, w, beta)
+            assert _same_bits(loss, want_loss)
+            assert grad.tobytes() == want_grad.tobytes()
+            assert logistic_grad(X, y, w, beta).tobytes() == want_grad.tobytes()
+            assert logistic_hess(X, y, w, beta).tobytes() == \
+                ref.logistic_hess(X, y, w, beta).tobytes()
 
 
 def test_logistic_loss_matches_sums_on_random_data():

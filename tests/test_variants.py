@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_logistic as ref
 from stormopt import engine, variants
 from stormopt.engine import StoppingRule, TrustRegionConfig, run
 from stormopt.logistic import Dataset, LogisticProblem, make_synthetic
@@ -594,6 +595,29 @@ def test_adagrad_evaluates_each_checkpoint_once(monkeypatch, budget, record_ever
     assert rec.f_final_true == true_f(LogisticProblem(ds, lam=1e-4), rec.x_final)
     for (evals, loss), (evals_x, x) in zip(rec.loss_trace, rec.x_checkpoints):
         assert evals == evals_x and loss == true_f(LogisticProblem(ds, lam=1e-4), x)
+
+
+def _bits(pairs):
+    return [(evals, np.asarray(v).tobytes()) for evals, v in pairs]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("record_every", [1, 7, None])
+@pytest.mark.parametrize("batch", [1, 10, 63])
+@pytest.mark.parametrize("step0", [1.0, 0.37])
+def test_adagrad_records_equal_the_first_loop(step0, batch, record_every, lam):
+    ds = make_synthetic(60, 4, seed=3)
+    X, y = ds.features, ds.labels
+    # a budget of 150 makes the default record_every 3, and batch 63 is N + 3
+    trace, checkpoints, x_final, f_final, evals = ref.adagrad(
+        X, y, step0, batch, 150, lam, seed=5, record_every=record_every)
+    rec = run_adagrad(ds, step0=step0, batch=batch, budget=150, lam=lam, seed=5,
+                      record_every=record_every)
+    assert _bits(rec.loss_trace) == _bits(trace)
+    assert _bits(rec.x_checkpoints) == _bits(checkpoints)
+    assert rec.x_final.tobytes() == x_final.tobytes()
+    assert np.float64(rec.f_final_true).tobytes() == np.float64(f_final).tobytes()
+    assert rec.eval_total == evals
 
 
 # ------------------------------------------------------------- solved checks
